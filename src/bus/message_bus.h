@@ -19,12 +19,20 @@ namespace sstreaming {
 /// An in-process, Kafka-like replayable message bus: topics divided into
 /// partitions, each an append-only log addressed by offset. This is the only
 /// property the engine requires of its sources (paper §3: "input sources must
-/// be replayable") and stands in for Kafka/Kinesis. Records are Rows (the
-/// real Kafka stores bytes; both the engine and the baselines would pay the
-/// same codec cost, so we elide it equally for all of them).
+/// be replayable") and stands in for Kafka/Kinesis.
+///
+/// Storage is columnar, the bus's analogue of the compact binary format the
+/// paper credits for its lead over Flink (§9.1): each partition is a list of
+/// segments, each holding a run of consecutive records as one typed Column
+/// per field. Topics are schemaless; a segment's column types are inferred
+/// from its records when it is appended, and a batch whose records disagree
+/// on arity or on a field's type is rejected. ReadBatch serves an offset
+/// range with one bulk typed copy per projected column and segment; Read
+/// boxes Rows from the columns for the record-at-a-time baselines.
 ///
 /// Thread safety: all operations are safe under concurrent producers and
-/// consumers; each partition has its own lock.
+/// consumers; each partition has its own lock. Batch segments are built
+/// outside it and only linked in under it.
 class MessageBus {
  public:
   MessageBus() = default;
@@ -42,22 +50,36 @@ class MessageBus {
   bool HasTopic(const std::string& topic) const;
   Result<int> NumPartitions(const std::string& topic) const;
 
-  /// Appends one record; returns its offset within the partition.
+  /// Appends one record; returns its offset within the partition. Records
+  /// whose field types match the partition's open tail segment extend it;
+  /// any other record starts a new one.
   Result<int64_t> Append(const std::string& topic, int partition, Row row);
 
-  /// Appends many records (single lock acquisition — the batched-producer
-  /// path). Returns the offset of the first appended record.
+  /// Appends many records as one segment (the batched-producer path).
+  /// Returns the offset of the first appended record. Fails with
+  /// InvalidArgument, appending nothing, when a record's arity or a field's
+  /// type disagrees with the batch's earlier records.
   Result<int64_t> AppendBatch(const std::string& topic, int partition,
                               std::vector<Row> rows);
+
+  /// Appends the rows of `batch` as one segment, sharing its column storage
+  /// (the columnar-producer path; a selection view is compacted first).
+  /// Returns the offset of the first appended record.
+  Result<int64_t> AppendColumns(const std::string& topic, int partition,
+                                const RecordBatchPtr& batch);
 
   /// Reads records [start, end) from a partition. `end` beyond the log end
   /// is clamped.
   Result<std::vector<Row>> Read(const std::string& topic, int partition,
                                 int64_t start, int64_t end) const;
 
-  /// Reads records [start, end) directly into a columnar batch (single
-  /// pass, no intermediate row vector) — the batched-consumer path used by
-  /// the engine's source.
+  /// Reads records [start, end) into a columnar batch — the batched-consumer
+  /// path used by the engine's source. Each overlapping segment contributes
+  /// one bulk copy per column; a stored column whose type differs from the
+  /// schema's goes value by value, so int64 reads through a float64 field
+  /// and all-null columns through any field. A stored field the schema's
+  /// type cannot hold, or a record too short for the schema, is an
+  /// InvalidArgument naming the topic, partition and offset.
   /// `projection`: indices into the stored record to materialize (schema
   /// must describe exactly those fields, in order); null = all fields.
   Result<RecordBatchPtr> ReadBatch(const std::string& topic, int partition,
@@ -68,7 +90,8 @@ class MessageBus {
 
   /// Arrival stamp (clock micros) of the oldest record in [start, end) of a
   /// partition, or 0 when no record in the range is dated. Errors only on
-  /// unknown topic/partition.
+  /// unknown topic/partition. A batch segment costs O(1), as its records
+  /// share one stamp; only Append-built segments are scanned per record.
   Result<int64_t> OldestIngestMicros(const std::string& topic, int partition,
                                      int64_t start, int64_t end) const;
 
@@ -82,11 +105,24 @@ class MessageBus {
   Result<int64_t> TotalRecords(const std::string& topic) const;
 
  private:
+  /// Records [base, base + rows) of a partition, one column per field.
+  /// Segments from AppendBatch/AppendColumns are immutable and share one
+  /// arrival stamp. A segment built by single Appends stays open while it is
+  /// the tail, grows in place, and stamps each record.
+  struct Segment {
+    int64_t base = 0;
+    int64_t rows = 0;
+    std::vector<ColumnPtr> columns;
+    int64_t ingest = 0;           // batch segments (0 = undated)
+    std::vector<int64_t> stamps;  // Append-built segments, one per record
+    int64_t end() const { return base + rows; }
+  };
   struct Partition {
     mutable std::mutex mu;
-    std::vector<Row> log SS_GUARDED_BY(mu);
-    // Parallel to log: arrival stamp per record (0 = undated).
-    std::vector<int64_t> ingest SS_GUARDED_BY(mu);
+    std::vector<Segment> segments SS_GUARDED_BY(mu);
+    int64_t end() const SS_REQUIRES(mu) {
+      return segments.empty() ? 0 : segments.back().end();
+    }
   };
   struct Topic {
     // The vector is append-never after CreateTopic; partitions synchronize
@@ -96,6 +132,10 @@ class MessageBus {
 
   Result<const Topic*> FindTopic(const std::string& topic) const
       SS_EXCLUDES(topics_mu_);
+  Result<Partition*> FindPartition(const std::string& topic,
+                                   int partition) const;
+  /// Stamps `segment`, gives it the next offset and links it in.
+  int64_t Link(Partition* p, Segment segment);
 
   const Clock* ingest_clock_ = nullptr;
   mutable std::mutex topics_mu_;

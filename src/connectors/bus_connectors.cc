@@ -51,22 +51,24 @@ Status BusSink::CommitEpoch(int64_t epoch, OutputMode /*mode*/,
     committed_[epoch] = true;
   }
   SS_ASSIGN_OR_RETURN(int num_partitions, bus_->NumPartitions(topic_));
-  std::vector<std::vector<Row>> per_partition(
-      static_cast<size_t>(num_partitions));
-  for (const auto& b : batches) {
-    for (int64_t i = 0; i < b->num_rows(); ++i) {
-      Row row = b->RowAt(i);
-      int p = static_cast<int>(HashRow(row) %
-                               static_cast<uint64_t>(num_partitions));
-      per_partition[static_cast<size_t>(p)].push_back(std::move(row));
+  const auto n = static_cast<uint64_t>(num_partitions);
+  // Row i goes to HashRow(RowAt(i)) % n, computed column by column.
+  for (const RecordBatchPtr& view : batches) {
+    RecordBatchPtr b = RecordBatch::Materialize(view);
+    std::vector<uint64_t> hashes(static_cast<size_t>(b->num_rows()),
+                                 kRowHashSeed);
+    for (const ColumnPtr& c : b->columns()) c->HashInto(&hashes);
+    std::vector<std::vector<int32_t>> rows(n);
+    for (size_t i = 0; i < hashes.size(); ++i) {
+      rows[hashes[i] % n].push_back(static_cast<int32_t>(i));
     }
-  }
-  for (int p = 0; p < num_partitions; ++p) {
-    if (per_partition[static_cast<size_t>(p)].empty()) continue;
-    SS_RETURN_IF_ERROR(
-        bus_->AppendBatch(topic_, p,
-                          std::move(per_partition[static_cast<size_t>(p)]))
-            .status());
+    for (int p = 0; p < num_partitions; ++p) {
+      if (rows[static_cast<size_t>(p)].empty()) continue;
+      SS_RETURN_IF_ERROR(
+          bus_->AppendColumns(topic_, p,
+                              b->Gather(rows[static_cast<size_t>(p)]))
+              .status());
+    }
   }
   return Status::OK();
 }

@@ -242,7 +242,7 @@ Result<std::vector<RecordBatchPtr>> ShuffleExec::ExecuteImpl(ExecContext* ctx) {
       // over the whole batch, so selection views compact here.
       const RecordBatchPtr batch = RecordBatch::Materialize(in[p]);
       const int64_t n = batch->num_rows();
-      std::vector<uint64_t> hashes(static_cast<size_t>(n), 0x811C9DC5ULL);
+      std::vector<uint64_t> hashes(static_cast<size_t>(n), kRowHashSeed);
       for (const ExprPtr& key : keys_) {
         SS_ASSIGN_OR_RETURN(ColumnPtr col, key->EvalBatch(*batch));
         col->HashInto(&hashes);

@@ -1,5 +1,6 @@
 #include "types/column.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sstreaming {
@@ -139,6 +140,40 @@ void Column::AppendFrom(const Column& src, int64_t i) {
       break;
     case PhysicalKind::kNone:
       AppendNull();
+      break;
+  }
+}
+
+void Column::AppendRange(const Column& src, int64_t start, int64_t n) {
+  SS_DCHECK(PhysicalKindOf(src.type()) == PhysicalKindOf(type_));
+  SS_DCHECK(start >= 0 && n >= 0 && start + n <= src.size());
+  const auto b = static_cast<size_t>(start);
+  const auto e = static_cast<size_t>(start + n);
+  auto copy = [b, e](const auto& from, auto* to) {
+    to->insert(to->end(), from.begin() + b, from.begin() + e);
+  };
+  copy(src.validity_, &validity_);
+  if (src.has_nulls()) {
+    null_count_ += std::count(src.validity_.begin() + b,
+                              src.validity_.begin() + e, uint8_t{0});
+  }
+  switch (PhysicalKindOf(type_)) {
+    case PhysicalKind::kBool:
+      copy(src.bools_, &bools_);
+      break;
+    case PhysicalKind::kInt64:
+      copy(src.ints_, &ints_);
+      break;
+    case PhysicalKind::kFloat64:
+      copy(src.doubles_, &doubles_);
+      break;
+    case PhysicalKind::kString:
+      for (size_t i = b; i < e; ++i) {
+        string_bytes_ += static_cast<int64_t>(src.strings_[i].size());
+      }
+      copy(src.strings_, &strings_);
+      break;
+    case PhysicalKind::kNone:
       break;
   }
 }

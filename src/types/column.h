@@ -66,6 +66,10 @@ class Column {
   /// (no boxing) — the gather kernel used by shuffle and joins.
   void AppendFrom(const Column& src, int64_t i);
 
+  /// Appends values [start, start+n) of `src`, which must have the same
+  /// physical type: one bulk copy per buffer, no boxing (the bus read path).
+  void AppendRange(const Column& src, int64_t start, int64_t n);
+
   /// Serializes value i exactly as Value::EncodeTo would (byte-identical),
   /// without boxing — used to build state-store keys from columns.
   void EncodeValueTo(int64_t i, std::string* out) const;

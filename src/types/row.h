@@ -14,8 +14,12 @@ namespace sstreaming {
 /// RecordBatch.
 using Row = std::vector<Value>;
 
+/// HashRow's initial value; columnar row hashing (Column::HashInto chained
+/// over a batch's columns) starts from it too, so both agree.
+constexpr uint64_t kRowHashSeed = 0x811C9DC5ULL;
+
 inline uint64_t HashRow(const Row& row) {
-  uint64_t h = 0x811C9DC5ULL;
+  uint64_t h = kRowHashSeed;
   for (const Value& v : row) h = HashMix(h, v.Hash());
   return h;
 }

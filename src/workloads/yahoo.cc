@@ -1,5 +1,7 @@
 #include "workloads/yahoo.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/random.h"
 
@@ -41,27 +43,65 @@ Result<std::vector<Row>> GenerateYahooData(MessageBus* bus,
         {Value::Int64(ad), Value::Int64(ad / config.ads_per_campaign)});
   }
 
-  // Events, appended in per-partition batches for producer efficiency.
-  std::vector<std::vector<Row>> per_partition(
-      static_cast<size_t>(config.num_partitions));
-  const int64_t span_micros = config.event_time_span_seconds * kSec;
-  for (int64_t i = 0; i < config.num_events; ++i) {
-    Row event = {
-        Value::Int64(static_cast<int64_t>(rng.Uniform(100000))),
-        Value::Int64(static_cast<int64_t>(rng.Uniform(1000))),
-        Value::Int64(static_cast<int64_t>(rng.Uniform(
-            static_cast<uint64_t>(num_ads)))),
-        Value::Str(kAdTypes[rng.Uniform(3)]),
-        Value::Str(kEventTypes[rng.Uniform(3)]),
-        Value::Timestamp(i * span_micros / config.num_events),
-    };
-    per_partition[static_cast<size_t>(i % config.num_partitions)].push_back(
-        std::move(event));
+  // Events go straight into per-partition columns, one segment per
+  // partition. They are drawn a block at a time in event order (the seeded
+  // sequence), then written column by column: one sequential write stream
+  // at a time instead of twelve per partition (value + validity per column)
+  // interleaved, which ran ~2x slower on memory the allocator recycles.
+  struct Draw {
+    uint64_t user, page, ad, ad_type, event_type;
+  };
+  const int64_t np = config.num_partitions;
+  const int64_t block = 1024 * np;  // 1024 events per partition
+  const SchemaPtr schema = YahooEventSchema();
+  std::vector<std::vector<ColumnPtr>> columns(static_cast<size_t>(np));
+  for (std::vector<ColumnPtr>& c : columns) {
+    for (const Field& f : schema->fields()) {
+      c.push_back(Column::Make(f.type));
+      c.back()->Reserve(config.num_events / np + 1);
+    }
   }
-  for (int p = 0; p < config.num_partitions; ++p) {
+  const int64_t span_micros = config.event_time_span_seconds * kSec;
+  std::vector<Draw> draws;
+  draws.reserve(static_cast<size_t>(block));
+  for (int64_t b0 = 0; b0 < config.num_events; b0 += block) {
+    const int64_t b1 = std::min(config.num_events, b0 + block);
+    draws.clear();
+    for (int64_t i = b0; i < b1; ++i) {
+      draws.push_back({rng.Uniform(100000), rng.Uniform(1000),
+                       rng.Uniform(static_cast<uint64_t>(num_ads)),
+                       rng.Uniform(3), rng.Uniform(3)});
+    }
+    auto at = [&draws, b0](int64_t i) -> const Draw& {
+      return draws[static_cast<size_t>(i - b0)];
+    };
+    // b0 is a multiple of np, so event i of the block is in partition i % np.
+    for (int64_t p = 0; p < np; ++p) {
+      std::vector<ColumnPtr>& c = columns[static_cast<size_t>(p)];
+      for (int64_t i = b0 + p; i < b1; i += np) {
+        c[0]->AppendInt64(static_cast<int64_t>(at(i).user));
+      }
+      for (int64_t i = b0 + p; i < b1; i += np) {
+        c[1]->AppendInt64(static_cast<int64_t>(at(i).page));
+      }
+      for (int64_t i = b0 + p; i < b1; i += np) {
+        c[2]->AppendInt64(static_cast<int64_t>(at(i).ad));
+      }
+      for (int64_t i = b0 + p; i < b1; i += np) {
+        c[3]->AppendString(kAdTypes[at(i).ad_type]);
+      }
+      for (int64_t i = b0 + p; i < b1; i += np) {
+        c[4]->AppendString(kEventTypes[at(i).event_type]);
+      }
+      for (int64_t i = b0 + p; i < b1; i += np) {
+        c[5]->AppendInt64(i * span_micros / config.num_events);
+      }
+    }
+  }
+  for (size_t p = 0; p < columns.size(); ++p) {
     SS_RETURN_IF_ERROR(
-        bus->AppendBatch(topic, p,
-                         std::move(per_partition[static_cast<size_t>(p)]))
+        bus->AppendColumns(topic, static_cast<int>(p),
+                           RecordBatch::Make(schema, std::move(columns[p])))
             .status());
   }
   return campaigns;

@@ -118,6 +118,56 @@ TEST(BusConnectorsTest, SinkWritesAndSuppressesRecommit) {
   EXPECT_EQ(*bus.TotalRecords("out"), 2);
 }
 
+TEST(BusConnectorsTest, SinkPlacesEveryRowOnItsRowHashPartition) {
+  constexpr int kPartitions = 5;
+  MessageBus bus;
+  ASSERT_TRUE(bus.CreateTopic("out", kPartitions).ok());
+  BusSink sink(&bus, "out");
+  auto schema = Schema::Make({{"i", TypeId::kInt64, true},
+                              {"s", TypeId::kString, true},
+                              {"d", TypeId::kFloat64, true}});
+  // int64, string, null and integral-double keys (3.0 must hash like 3).
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 60; ++i) {
+    rows.push_back({i % 7 == 0 ? Value::Null() : Value::Int64(i * 31),
+                    i % 5 == 0 ? Value::Null()
+                               : Value::Str(std::to_string(i * 17)),
+                    i % 3 == 0 ? Value::Float64(static_cast<double>(i))
+                               : Value::Float64(static_cast<double>(i) + .5)});
+  }
+  auto plain = RecordBatch::FromRows(schema, rows).TakeValue();
+  // A selection view: the sink sees its logical rows only.
+  std::vector<int32_t> keep;
+  std::vector<Row> want = rows;
+  for (int32_t i = 59; i >= 0; i -= 3) {
+    keep.push_back(i);
+    want.push_back(rows[static_cast<size_t>(i)]);
+  }
+  auto view =
+      RecordBatch::MakeView(plain, SelectionVector::FromVector(keep));
+  ASSERT_TRUE(sink.CommitEpoch(0, OutputMode::kAppend, 0, {plain, view}).ok());
+
+  // Each partition holds, in commit order, exactly the rows that
+  // HashRow(row) % n sends there.
+  for (int p = 0; p < kPartitions; ++p) {
+    std::vector<Row> expected;
+    for (const Row& r : want) {
+      if (HashRow(r) % kPartitions == static_cast<uint64_t>(p)) {
+        expected.push_back(r);
+      }
+    }
+    auto got = bus.Read("out", p, 0, *bus.EndOffset("out", p));
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), expected.size()) << "partition " << p;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(CompareRows((*got)[i], expected[i]), 0)
+          << "partition " << p << " row " << i << ": "
+          << RowToString((*got)[i]) << " vs " << RowToString(expected[i]);
+    }
+  }
+  EXPECT_EQ(*bus.TotalRecords("out"), static_cast<int64_t>(want.size()));
+}
+
 class FileConnectorsTest : public ::testing::Test {
  protected:
   void SetUp() override {
