@@ -175,14 +175,9 @@ void StreamingQuery::BuildOpIndex() {
     op.CollectProfileNodes(&nodes);
     for (OpProfileNode& node : nodes) {
       if (!seen.insert(node.op_id).second) continue;
-      OpIndexEntry entry;
-      entry.op_id = node.op_id;
-      entry.name = node.name;
-      entry.is_source = node.is_source;
-      entry.child_ids = node.child_ids;
-      plan_profile_.AddNode(entry.op_id, entry.name, entry.is_source,
-                            entry.child_ids);
-      op_index_.push_back(std::move(entry));
+      plan_profile_.AddNode(node.op_id, node.name, node.is_source,
+                            node.child_ids);
+      op_index_.push_back(std::move(node));
     }
     for (const PhysOpPtr& child : op.children()) walk(*child);
   };
@@ -526,7 +521,7 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   int64_t source_read = 0;
   {
     std::lock_guard<std::mutex> lock(ctx.metrics_mu);
-    for (const OpIndexEntry& entry : op_index_) {
+    for (const OpProfileNode& entry : op_index_) {
       if (!entry.is_source) continue;
       auto it = ctx.op_stats.find(entry.op_id);
       if (it != ctx.op_stats.end()) source_read += it->second.wall_nanos;
@@ -564,23 +559,17 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
       if (ait != backlog_age.end()) sp.backlog_age_micros = ait->second;
       progress.sources.push_back(std::move(sp));
     }
-    // Per-operator summaries, in plan pre-order. rows_in is the children's
+    // Per-operator summaries, in plan pre-order. rows_in is the inputs'
     // combined output; cpu is the operator's inclusive wall time minus its
     // children's (self time).
-    for (const OpIndexEntry& entry : op_index_) {
+    for (const OpProfileNode& entry : op_index_) {
       OperatorProgress op;
       op.op_id = entry.op_id;
       op.name = entry.name;
       int64_t wall = 0;
       auto it = ctx.op_stats.find(entry.op_id);
       if (it != ctx.op_stats.end()) {
-        op.rows_out = it->second.rows_out;
-        op.batches = it->second.batches;
-        op.output_bytes = it->second.bytes_out;
-        op.tasks = it->second.tasks;
-        op.queue_wait_nanos = it->second.queue_wait_nanos;
-        op.task_run_nanos = it->second.task_run_nanos;
-        op.max_task_run_nanos = it->second.max_task_run_nanos;
+        static_cast<OpCounters&>(op) = it->second;
         progress.queue_wait_nanos += op.queue_wait_nanos;
         wall = it->second.wall_nanos;
       }
@@ -595,13 +584,14 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
           }
         }
       }
+      for (int input_id : entry.input_ids) {
+        auto iit = ctx.op_stats.find(input_id);
+        if (iit != ctx.op_stats.end()) op.rows_in += iit->second.rows_out;
+      }
       int64_t children_wall = 0;
       for (int child_id : entry.child_ids) {
         auto cit = ctx.op_stats.find(child_id);
-        if (cit != ctx.op_stats.end()) {
-          op.rows_in += cit->second.rows_out;
-          children_wall += cit->second.wall_nanos;
-        }
+        if (cit != ctx.op_stats.end()) children_wall += cit->second.wall_nanos;
       }
       op.cpu_nanos = std::max<int64_t>(0, wall - children_wall);
       progress.operators.push_back(std::move(op));
@@ -640,18 +630,9 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
     for (const OperatorProgress& op : progress.operators) {
       MetricLabels labels{{"op", op.name},
                           {"op_id", std::to_string(op.op_id)}};
-      metrics_->GetCounter("sstreaming_operator_rows_in_total", labels)
-          ->Increment(op.rows_in);
-      metrics_->GetCounter("sstreaming_operator_rows_out_total", labels)
-          ->Increment(op.rows_out);
-      metrics_->GetCounter("sstreaming_operator_batches_total", labels)
-          ->Increment(op.batches);
-      metrics_->GetCounter("sstreaming_operator_cpu_nanos_total", labels)
-          ->Increment(op.cpu_nanos);
-      if (op.tasks != 0) {
-        metrics_->GetCounter("sstreaming_operator_queue_wait_nanos_total",
-                             labels)
-            ->Increment(op.queue_wait_nanos);
+      for (const OpCounterField& f : kOpCounterFields) {
+        if (f.metric_family == nullptr || !op.Reports(f)) continue;
+        metrics_->GetCounter(f.metric_family, labels)->Increment(op.*f.member);
       }
     }
     if (progress.sink_commit_nanos > 0) {

@@ -238,15 +238,6 @@ class StreamingQuery {
   void BuildOpIndex();
   void NotifyTerminated();
 
-  /// One physical-plan node, in pre-order (root first) — the skeleton
-  /// per-operator progress is derived against each epoch.
-  struct OpIndexEntry {
-    int op_id = 0;
-    std::string name;
-    bool is_source = false;
-    std::vector<int> child_ids;
-  };
-
   QueryOptions options_;
   SinkPtr sink_;
   PhysicalPlan plan_;
@@ -278,7 +269,9 @@ class StreamingQuery {
   std::shared_ptr<MetricsRegistry> metrics_;
   std::shared_ptr<EpochTracer> tracer_;
   PlanProfile plan_profile_;  // internally synchronized
-  std::vector<OpIndexEntry> op_index_;
+  /// Profile nodes in plan pre-order (root first) — the skeleton
+  /// per-operator progress is derived against each epoch.
+  std::vector<OpProfileNode> op_index_;
   std::function<void(const QueryProgress&)> progress_callback_;
   std::function<void(const Status&, int64_t)> termination_callback_;
   std::atomic<bool> termination_notified_{false};

@@ -25,15 +25,7 @@ void PlanProfile::RecordEpoch(const QueryProgress& progress) {
     auto it = index_.find(op.op_id);
     if (it == index_.end()) continue;
     Node& node = nodes_[it->second];
-    node.rows_in += op.rows_in;
-    node.rows_out += op.rows_out;
-    node.batches += op.batches;
-    node.cpu_nanos += op.cpu_nanos;
-    node.output_bytes += op.output_bytes;
-    node.tasks += op.tasks;
-    node.queue_wait_nanos += op.queue_wait_nanos;
-    node.max_task_run_nanos =
-        std::max(node.max_task_run_nanos, op.max_task_run_nanos);
+    node.Add(op);
     node.state_rows = op.state_rows;
     node.state_bytes = op.state_bytes;
     node.shard_state = op.shard_state;
@@ -62,16 +54,20 @@ void PlanProfile::RenderNodeLocked(const Node& node, int depth,
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += node.name;
   char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                " [op %d]  rows_in=%lld rows_out=%lld batches=%lld "
-                "self_cpu_ms=%.3f queue_ms=%.3f output_bytes=%lld",
-                node.op_id, static_cast<long long>(node.rows_in),
-                static_cast<long long>(node.rows_out),
-                static_cast<long long>(node.batches),
-                static_cast<double>(node.cpu_nanos) / 1e6,
-                static_cast<double>(node.queue_wait_nanos) / 1e6,
-                static_cast<long long>(node.output_bytes));
+  std::snprintf(buf, sizeof(buf), " [op %d] ", node.op_id);
   *out += buf;
+  for (const OpCounterField& f : kOpCounterFields) {
+    if (f.explain_column == nullptr) continue;
+    const int64_t v = node.*f.member;
+    if (f.explain_unit == ExplainUnit::kNanosAsMillis) {
+      std::snprintf(buf, sizeof(buf), " %s=%.3f", f.explain_column,
+                    static_cast<double>(v) / 1e6);
+    } else {
+      std::snprintf(buf, sizeof(buf), " %s=%lld", f.explain_column,
+                    static_cast<long long>(v));
+    }
+    *out += buf;
+  }
   if (node.peak_state_rows > 0 || node.peak_state_bytes > 0) {
     std::snprintf(buf, sizeof(buf),
                   " state_rows=%lld state_bytes=%lld (peak %lld/%lld)",
@@ -108,32 +104,10 @@ std::string PlanProfile::Render() const {
 }
 
 Json PlanProfile::NodeJsonLocked(const Node& node) const {
-  Json obj = Json::Object();
-  obj.Set("opId", Json::Int(node.op_id));
-  obj.Set("name", Json::Str(node.name));
+  Json obj = node.ToJson(/*all_counters=*/true);
   obj.Set("isSource", Json::Bool(node.is_source));
-  obj.Set("rowsIn", Json::Int(node.rows_in));
-  obj.Set("rowsOut", Json::Int(node.rows_out));
-  obj.Set("batches", Json::Int(node.batches));
-  obj.Set("cpuNanos", Json::Int(node.cpu_nanos));
-  obj.Set("queueWaitNanos", Json::Int(node.queue_wait_nanos));
-  obj.Set("tasks", Json::Int(node.tasks));
-  obj.Set("maxTaskRunNanos", Json::Int(node.max_task_run_nanos));
-  obj.Set("outputBytes", Json::Int(node.output_bytes));
-  obj.Set("stateRows", Json::Int(node.state_rows));
-  obj.Set("stateBytes", Json::Int(node.state_bytes));
   obj.Set("peakStateRows", Json::Int(node.peak_state_rows));
   obj.Set("peakStateBytes", Json::Int(node.peak_state_bytes));
-  if (!node.shard_state.empty()) {
-    Json shards = Json::Array();
-    for (const auto& [rows, bytes] : node.shard_state) {
-      Json pair = Json::Array();
-      pair.Append(Json::Int(rows));
-      pair.Append(Json::Int(bytes));
-      shards.Append(std::move(pair));
-    }
-    obj.Set("shardState", std::move(shards));
-  }
   Json children = Json::Array();
   for (int child_id : node.children) {
     const Node* child = FindLocked(child_id);

@@ -21,40 +21,21 @@ namespace sstreaming {
 /// loop records while HTTP scrape threads render, so all node state is
 /// mutex-guarded and Render()/ToJson() work from a consistent snapshot.
 ///
-/// The cumulative rows_in/rows_out per node are fed from the same
-/// OperatorProgress values as the `sstreaming_operator_rows_{in,out}_total`
-/// counters, so a profile and a metrics scrape taken while the query is
-/// quiescent agree exactly (tested).
+/// The cumulative counters per node are fed from the same OperatorProgress
+/// values as the `sstreaming_operator_*` counters, so a profile and a
+/// metrics scrape taken while the query is quiescent agree exactly (tested).
 class PlanProfile {
  public:
-  struct Node {
-    int op_id = 0;
-    std::string name;
+  /// Cumulative actuals across recorded epochs: every epoch's
+  /// OperatorProgress counters folded with OpCounters::Add, and the live
+  /// state size (incl. per shard) after the most recent epoch.
+  struct Node : OperatorProgress {
     bool is_source = false;
     std::vector<int> children;  // child op_ids, plan order
-
-    // Cumulative actuals across recorded epochs.
-    int64_t rows_in = 0;
-    int64_t rows_out = 0;
-    int64_t batches = 0;
-    int64_t cpu_nanos = 0;  // self time (inclusive minus children)
-    int64_t output_bytes = 0;
-    // Scheduler accounting for the stages this operator submitted:
-    // cumulative task count, submit->start queue wait (backpressure), and
-    // the slowest single task seen (skew).
-    int64_t tasks = 0;
-    int64_t queue_wait_nanos = 0;
-    int64_t max_task_run_nanos = 0;
-
-    // Live state size after the most recent epoch, and the peak across all
-    // recorded epochs (0 for stateless operators).
-    int64_t state_rows = 0;
-    int64_t state_bytes = 0;
+    // Peak live state size across all recorded epochs (0 for stateless
+    // operators).
     int64_t peak_state_rows = 0;
     int64_t peak_state_bytes = 0;
-    // Per-shard (rows, bytes) breakdown of the live state, indexed by
-    // shard. Empty for stateless operators.
-    std::vector<std::pair<int64_t, int64_t>> shard_state;
   };
 
   PlanProfile() = default;

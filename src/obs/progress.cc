@@ -1,5 +1,7 @@
 #include "obs/progress.h"
 
+#include <algorithm>
+
 namespace sstreaming {
 
 namespace {
@@ -88,23 +90,38 @@ Result<LatencySummary> LatencySummary::FromJson(const Json& json) {
   return s;
 }
 
-Json OperatorProgress::ToJson() const {
+void OpCounters::Add(const OpCounters& other) {
+  for (const OpCounterField& f : kOpCounterFields) {
+    int64_t& mine = this->*f.member;
+    const int64_t theirs = other.*f.member;
+    mine = f.merge == CounterMerge::kSum ? mine + theirs
+                                         : std::max(mine, theirs);
+  }
+}
+
+bool OpCounters::Reports(const OpCounterField& field) const {
+  return !field.stage_only || tasks != 0;
+}
+
+void OpCounters::WriteJson(Json* obj, bool all) const {
+  for (const OpCounterField& f : kOpCounterFields) {
+    if (all || Reports(f)) obj->Set(f.json_key, Json::Int(this->*f.member));
+  }
+}
+
+void OpCounters::ReadJson(const Json& obj) {
+  for (const OpCounterField& f : kOpCounterFields) {
+    this->*f.member = GetInt(obj, f.json_key);
+  }
+}
+
+Json OperatorProgress::ToJson(bool all_counters) const {
   Json obj = Json::Object();
   obj.Set("opId", Json::Int(op_id));
   obj.Set("name", Json::Str(name));
-  obj.Set("rowsIn", Json::Int(rows_in));
-  obj.Set("rowsOut", Json::Int(rows_out));
-  obj.Set("batches", Json::Int(batches));
-  obj.Set("cpuNanos", Json::Int(cpu_nanos));
-  obj.Set("outputBytes", Json::Int(output_bytes));
+  WriteJson(&obj, all_counters);
   obj.Set("stateRows", Json::Int(state_rows));
   obj.Set("stateBytes", Json::Int(state_bytes));
-  if (tasks != 0) {
-    obj.Set("tasks", Json::Int(tasks));
-    obj.Set("queueWaitNanos", Json::Int(queue_wait_nanos));
-    obj.Set("taskRunNanos", Json::Int(task_run_nanos));
-    obj.Set("maxTaskRunNanos", Json::Int(max_task_run_nanos));
-  }
   if (!shard_state.empty()) {
     Json shards = Json::Array();
     for (const auto& [rows, bytes] : shard_state) {
@@ -125,17 +142,9 @@ Result<OperatorProgress> OperatorProgress::FromJson(const Json& json) {
   OperatorProgress op;
   op.op_id = static_cast<int>(GetInt(json, "opId"));
   op.name = GetStr(json, "name");
-  op.rows_in = GetInt(json, "rowsIn");
-  op.rows_out = GetInt(json, "rowsOut");
-  op.batches = GetInt(json, "batches");
-  op.cpu_nanos = GetInt(json, "cpuNanos");
-  op.output_bytes = GetInt(json, "outputBytes");
+  op.ReadJson(json);
   op.state_rows = GetInt(json, "stateRows");
   op.state_bytes = GetInt(json, "stateBytes");
-  op.tasks = GetInt(json, "tasks");
-  op.queue_wait_nanos = GetInt(json, "queueWaitNanos");
-  op.task_run_nanos = GetInt(json, "taskRunNanos");
-  op.max_task_run_nanos = GetInt(json, "maxTaskRunNanos");
   const Json& shards = json.Get("shardState");
   if (shards.is_array()) {
     for (const Json& pair : shards.array_items()) {

@@ -40,35 +40,100 @@ struct LatencySummary {
   static Result<LatencySummary> FromJson(const Json& json);
 };
 
-/// Per-operator summary for one epoch (rows through the operator, batches
-/// produced, and self CPU-ish wall time — the operator's inclusive time
-/// minus its children's).
-struct OperatorProgress {
-  int op_id = 0;
-  std::string name;
+struct OpCounterField;
+
+/// The per-operator accounting record (paper §7.4 monitoring): what one
+/// operator did over one epoch or, folded with Add, over a query's lifetime.
+/// OpStats, OperatorProgress and the EXPLAIN ANALYZE nodes embed it, and
+/// every view of it is a loop over kOpCounterFields, so the views agree by
+/// construction. A new counter is one member plus one table row.
+struct OpCounters {
+  /// Rows the operator consumed: the combined rows_out of its inputs.
   int64_t rows_in = 0;
   int64_t rows_out = 0;
   int64_t batches = 0;
+  /// Self time: the operator's inclusive wall time minus its children's.
   int64_t cpu_nanos = 0;
-  /// Approximate bytes of the operator's output batches this epoch.
+  /// Approximate bytes of the operator's output batches.
   int64_t output_bytes = 0;
-  /// Live state-store size after the epoch (0 for stateless operators).
-  int64_t state_rows = 0;
-  int64_t state_bytes = 0;
-  /// Scheduler accounting for the stages this operator submitted this
-  /// epoch: task count, summed submit->start queue wait (the backpressure
-  /// signal), summed task run time, and the run-time of the slowest task
-  /// (skew — e.g. a hot state shard's fold task). All zero (and omitted
-  /// from the JSON) for operators that ran no scheduler stage.
+  // Scheduler accounting for the stages the operator submitted (see
+  // StageWait): summed submit->start queue wait is the backpressure signal;
+  // the slowest task's run time against the mean is its skew.
   int64_t tasks = 0;
   int64_t queue_wait_nanos = 0;
   int64_t task_run_nanos = 0;
   int64_t max_task_run_nanos = 0;
+
+  /// Folds `other` in, each field by its merge rule.
+  void Add(const OpCounters& other);
+  /// False for a scheduler-only field when no task ran: such fields are
+  /// left out of the per-epoch JSON and /metrics.
+  bool Reports(const OpCounterField& field) const;
+  /// Sets each reported field's JSON key on `obj` (every field if `all`).
+  void WriteJson(Json* obj, bool all) const;
+  /// Reads every field's JSON key from `obj`; absent keys read as 0.
+  void ReadJson(const Json& obj);
+};
+
+/// How a field folds across tasks, epochs and Add.
+enum class CounterMerge { kSum, kMax };
+
+/// How EXPLAIN ANALYZE prints a field: as an integer, or nanoseconds as
+/// milliseconds with three decimals.
+enum class ExplainUnit { kCount, kNanosAsMillis };
+
+/// One row of the field table: a member of OpCounters and the name it has
+/// in each view. A null metric family or EXPLAIN column means the field is
+/// not exported there.
+struct OpCounterField {
+  int64_t OpCounters::*member;
+  const char* json_key;
+  CounterMerge merge;
+  /// Reported only when the operator ran a scheduler stage (tasks != 0).
+  bool stage_only;
+  const char* metric_family;
+  const char* explain_column;
+  ExplainUnit explain_unit;
+};
+
+/// The field table, in EXPLAIN ANALYZE column order.
+inline constexpr OpCounterField kOpCounterFields[] = {
+    {&OpCounters::rows_in, "rowsIn", CounterMerge::kSum, false,
+     "sstreaming_operator_rows_in_total", "rows_in", ExplainUnit::kCount},
+    {&OpCounters::rows_out, "rowsOut", CounterMerge::kSum, false,
+     "sstreaming_operator_rows_out_total", "rows_out", ExplainUnit::kCount},
+    {&OpCounters::batches, "batches", CounterMerge::kSum, false,
+     "sstreaming_operator_batches_total", "batches", ExplainUnit::kCount},
+    {&OpCounters::cpu_nanos, "cpuNanos", CounterMerge::kSum, false,
+     "sstreaming_operator_cpu_nanos_total", "self_cpu_ms",
+     ExplainUnit::kNanosAsMillis},
+    {&OpCounters::queue_wait_nanos, "queueWaitNanos", CounterMerge::kSum, true,
+     "sstreaming_operator_queue_wait_nanos_total", "queue_ms",
+     ExplainUnit::kNanosAsMillis},
+    {&OpCounters::output_bytes, "outputBytes", CounterMerge::kSum, false,
+     nullptr, "output_bytes", ExplainUnit::kCount},
+    {&OpCounters::tasks, "tasks", CounterMerge::kSum, true, nullptr, nullptr,
+     ExplainUnit::kCount},
+    {&OpCounters::task_run_nanos, "taskRunNanos", CounterMerge::kSum, true,
+     nullptr, nullptr, ExplainUnit::kCount},
+    {&OpCounters::max_task_run_nanos, "maxTaskRunNanos", CounterMerge::kMax,
+     true, nullptr, nullptr, ExplainUnit::kCount},
+};
+
+/// Per-operator summary for one epoch: the operator's OpCounters plus its
+/// live state size.
+struct OperatorProgress : OpCounters {
+  int op_id = 0;
+  std::string name;
+  /// Live state-store size after the epoch (0 for stateless operators).
+  int64_t state_rows = 0;
+  int64_t state_bytes = 0;
   /// Per-shard breakdown of (state_rows, state_bytes), indexed by shard.
   /// Empty for stateless operators (and omitted from the JSON then).
   std::vector<std::pair<int64_t, int64_t>> shard_state;
 
-  Json ToJson() const;
+  /// `all_counters` writes the scheduler fields even when no task ran.
+  Json ToJson(bool all_counters = false) const;
   static Result<OperatorProgress> FromJson(const Json& json);
 };
 

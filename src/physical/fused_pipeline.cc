@@ -88,10 +88,14 @@ std::string FusedPipelineExec::name() const {
 
 void FusedPipelineExec::CollectProfileNodes(
     std::vector<OpProfileNode>* out) const {
+  // The fused node renders its top stage as its child (so its self time is
+  // the fusion overhead alone), but its rows_in is what the operator below
+  // the chain produced.
   OpProfileNode fused;
   fused.op_id = op_id_;
   fused.name = name();
   fused.child_ids.push_back(stages_.back().op_id);
+  fused.input_ids.push_back(children_[0]->op_id());
   out->push_back(std::move(fused));
   // Stages top to bottom, each fed by the stage below; the bottom stage is
   // fed by the fused node's actual child. This reproduces the unfused
@@ -102,6 +106,7 @@ void FusedPipelineExec::CollectProfileNodes(
     node.name = stages_[i].name;
     node.child_ids.push_back(i > 0 ? stages_[i - 1].op_id
                                    : children_[0]->op_id());
+    node.input_ids = node.child_ids;
     out->push_back(std::move(node));
   }
 }
@@ -116,14 +121,10 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
   const size_t parts = in.size();
   const size_t n_stages = stages_.size();
   // Per-partition, per-stage accounting filled lock-free inside the tasks
-  // and folded into ctx->op_stats afterwards.
-  struct StageCell {
-    int64_t rows = 0;
-    int64_t bytes = 0;
-    int64_t nanos = 0;
-  };
-  std::vector<std::vector<StageCell>> cells(
-      parts, std::vector<StageCell>(n_stages));
+  // and folded into ctx->op_stats afterwards (wall_nanos holds the stage's
+  // own time here).
+  std::vector<std::vector<OpStats>> cells(parts,
+                                          std::vector<OpStats>(n_stages));
 
   std::vector<RecordBatchPtr> out(parts);
   std::vector<std::function<Status()>> tasks;
@@ -199,10 +200,11 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
             break;
           }
         }
-        StageCell& cell = cells[p][s];
-        cell.rows = cur->num_rows();
-        cell.bytes = cur->ApproxBytes();
-        cell.nanos = MonotonicNanos() - t0;
+        OpStats& cell = cells[p][s];
+        cell.rows_out = cur->num_rows();
+        cell.output_bytes = cur->ApproxBytes();
+        cell.batches = 1;
+        cell.wall_nanos = MonotonicNanos() - t0;
       }
       if (!emit_selection_) cur = RecordBatch::Materialize(cur);
       out[p] = std::move(cur);
@@ -221,14 +223,10 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
     for (size_t s = 0; s < n_stages; ++s) {
       OpStats& stats = ctx->op_stats[stages_[s].op_id];
       for (size_t p = 0; p < parts; ++p) {
-        const StageCell& cell = cells[p][s];
-        stats.rows_out += cell.rows;
-        stats.bytes_out += cell.bytes;
-        ++stats.batches;
-        cumulative += cell.nanos;
+        stats.Add(cells[p][s]);
+        cumulative += cells[p][s].wall_nanos;
       }
       stats.wall_nanos += child_nanos + cumulative;
-      ++stats.invocations;
     }
   }
   return out;

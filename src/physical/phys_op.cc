@@ -206,6 +206,7 @@ void PhysOp::CollectProfileNodes(std::vector<OpProfileNode>* out) const {
   for (const PhysOpPtr& child : children_) {
     node.child_ids.push_back(child->op_id());
   }
+  node.input_ids = node.child_ids;
   out->push_back(std::move(node));
 }
 
@@ -215,15 +216,13 @@ Status ExecContext::RunStage(int op_id, const std::string& stage_name,
   Status s = scheduler->RunStage(stage_name, std::move(tasks), &wait);
   // Merge even on failure: a stage that died after queueing is still
   // evidence for the doctor.
+  OpCounters stage;
+  stage.tasks = wait.tasks;
+  stage.queue_wait_nanos = wait.queue_wait_nanos;
+  stage.task_run_nanos = wait.run_nanos;
+  stage.max_task_run_nanos = wait.max_run_nanos;
   std::lock_guard<std::mutex> lock(metrics_mu);
-  OpStats& stats = op_stats[op_id];
-  stats.tasks += wait.tasks;
-  stats.queue_wait_nanos += wait.queue_wait_nanos;
-  stats.max_queue_wait_nanos =
-      std::max(stats.max_queue_wait_nanos, wait.max_queue_wait_nanos);
-  stats.task_run_nanos += wait.run_nanos;
-  stats.max_task_run_nanos =
-      std::max(stats.max_task_run_nanos, wait.max_run_nanos);
+  op_stats[op_id].Add(stage);
   return s;
 }
 
@@ -240,18 +239,19 @@ Result<std::vector<RecordBatchPtr>> PhysOp::Execute(ExecContext* ctx) {
   int64_t t0 = MonotonicNanos();
   Result<std::vector<RecordBatchPtr>> result = ExecuteImpl(ctx);
   int64_t dt = MonotonicNanos() - t0;
+  OpCounters produced;
+  if (result.ok()) {
+    produced.batches = static_cast<int64_t>(result->size());
+    for (const RecordBatchPtr& batch : *result) {
+      produced.rows_out += batch->num_rows();
+      produced.output_bytes += batch->ApproxBytes();
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(ctx->metrics_mu);
     OpStats& stats = ctx->op_stats[op_id_];
+    stats.Add(produced);
     stats.wall_nanos += dt;
-    ++stats.invocations;
-    if (result.ok()) {
-      stats.batches += static_cast<int64_t>(result->size());
-      for (const RecordBatchPtr& batch : *result) {
-        stats.rows_out += batch->num_rows();
-        stats.bytes_out += batch->ApproxBytes();
-      }
-    }
   }
   if (ctx->tracer != nullptr) {
     ctx->tracer->AddSpan(name(), "operator", t0, dt, ctx->epoch);

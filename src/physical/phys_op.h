@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "logical/output_mode.h"
+#include "obs/progress.h"
 #include "runtime/scheduler.h"
 #include "state/sharded_state_store.h"
 #include "types/record_batch.h"
@@ -99,25 +100,12 @@ class StateManager {
 };
 
 /// Per-operator counters accumulated over one epoch (§7.4 monitoring).
-struct OpStats {
-  int64_t rows_out = 0;
-  int64_t batches = 0;
+/// Execute and RunStage fill rows_out, batches, output_bytes and the
+/// scheduler fields; rows_in and cpu_nanos depend on the profile topology
+/// and are derived when the epoch's OperatorProgress is built.
+struct OpStats : OpCounters {
   /// Inclusive wall time of the operator's Execute (children included).
   int64_t wall_nanos = 0;
-  int64_t invocations = 0;
-  /// Approximate bytes of the operator's output batches (memory accounting
-  /// for EXPLAIN ANALYZE; O(columns) per batch to compute).
-  int64_t bytes_out = 0;
-
-  // Scheduler-stage accounting for the stages this operator submitted
-  // (filled by ExecContext::RunStage; see StageWait). queue_wait is the
-  // operator's backpressure signal; max_task_run vs. run/tasks is its
-  // task skew (e.g. an overloaded state shard's fold task).
-  int64_t tasks = 0;
-  int64_t queue_wait_nanos = 0;
-  int64_t max_queue_wait_nanos = 0;
-  int64_t task_run_nanos = 0;
-  int64_t max_task_run_nanos = 0;
 };
 
 /// Per-epoch execution context threaded through the physical operators.
@@ -193,8 +181,8 @@ struct ExecContext {
     return min_ingest_micros;
   }
 
-  /// Runs a stage on `scheduler`, merging its queue-wait/run accounting
-  /// into `op_stats[op_id]` (the submitting operator). Operators call this
+  /// Runs a stage on `scheduler`, adding its task/queue-wait/run accounting
+  /// to `op_stats[op_id]` (the submitting operator). Operators call this
   /// instead of scheduler->RunStage so every stage's backpressure signal is
   /// attributed to the operator that submitted it.
   Status RunStage(int op_id, const std::string& stage_name,
@@ -210,8 +198,13 @@ struct OpProfileNode {
   int op_id = 0;
   std::string name;
   bool is_source = false;
-  /// op_ids whose rows_out feed this node (its inputs).
+  /// op_ids rendered under this node; their wall time is its children's
+  /// share when self time is derived.
   std::vector<int> child_ids;
+  /// op_ids whose rows_out sum to this node's rows_in — its real inputs.
+  /// Equal to child_ids except for a fused pipeline, whose child in the
+  /// profile is its top stage but whose input is the operator below it.
+  std::vector<int> input_ids;
 };
 
 /// A physical operator: executes one epoch across all partitions, returning

@@ -65,6 +65,21 @@ bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
 // outputs are merged in shard-index order.
 // ---------------------------------------------------------------------------
 
+/// Concatenates one partition's per-shard output rows in shard-index order
+/// — the deterministic merge sharded operators emit through.
+Result<RecordBatchPtr> MergeShardRows(
+    const SchemaPtr& schema, std::vector<std::vector<Row>>* shard_rows) {
+  std::vector<Row> merged;
+  size_t total = 0;
+  for (const auto& sr : *shard_rows) total += sr.size();
+  merged.reserve(total);
+  for (auto& sr : *shard_rows) {
+    merged.insert(merged.end(), std::make_move_iterator(sr.begin()),
+                  std::make_move_iterator(sr.end()));
+  }
+  return RecordBatch::FromRows(schema, merged);
+}
+
 /// One (chunk, shard) bucket of pre-routed rows: parallel vectors of the
 /// row's index in the partition batch, an operator-specific auxiliary value,
 /// and the row's encoded state key (concatenated, delimited by key_len).
@@ -324,6 +339,84 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
                                         TransparentStringHash,
                                         std::equal_to<>>;
 
+  // The window starts row i updates: its event time's windows the
+  // watermark has not closed (late data for a closed window is dropped;
+  // none without an event time), or one dummy start when unwindowed.
+  // Shared by both paths.
+  auto live_windows = [this, windowed, watermark, window_size](
+                          const PartitionWork& w, int64_t i,
+                          std::vector<int64_t>* starts) {
+    starts->clear();
+    if (!windowed) {
+      starts->push_back(0);
+      return;
+    }
+    const Column& time_col =
+        *w.key_cols[static_cast<size_t>(window_key_index_)];
+    if (time_col.IsNull(i)) return;
+    window_expr_->EnumerateWindowStarts(time_col.Int64At(i), starts);
+    if (watermark != INT64_MIN) {
+      std::erase_if(*starts, [&](int64_t start) {
+        return start + window_size <= watermark;
+      });
+    }
+  };
+
+  // State key of row i in window `wstart` (ignored when unwindowed) —
+  // byte-identical to EncodeRow of the boxed key, without boxing. Shared by
+  // both paths.
+  auto encode_key = [this](const PartitionWork& w, int64_t i, int64_t wstart,
+                           std::string* enc) {
+    enc->clear();
+    enc->push_back(static_cast<char>(group_exprs_.size()));
+    for (size_t g = 0; g < group_exprs_.size(); ++g) {
+      if (static_cast<int>(g) == window_key_index_) {
+        enc->push_back(static_cast<char>(TypeId::kTimestamp));
+        char buf[8];
+        std::memcpy(buf, &wstart, 8);
+        enc->append(buf, 8);
+      } else if (const KeyDict* dict = w.key_dicts[g].get()) {
+        enc->append(dict->encoded[static_cast<size_t>(
+            dict->codes[static_cast<size_t>(i)])]);
+      } else {
+        w.key_cols[g]->EncodeValueTo(i, enc);
+      }
+    }
+  };
+
+  // Reads row i's aggregate arguments into `args` (sized to the aggregate
+  // count; count(*) slots stay null).
+  auto load_args = [this, needs_args](const PartitionWork& w, int64_t i,
+                                      Row* args) {
+    if (!needs_args) return;
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      if (aggregates_[a].func != AggFunc::kCountAll) {
+        (*args)[a] = w.arg_cols[a]->ValueAt(i);
+      }
+    }
+  };
+
+  // Folds `args` into key `enc`'s state, loading it from `shard` (or
+  // initializing it) on its first touch this batch. Shared by both paths.
+  auto fold_row = [this](std::string_view enc, const Row& args,
+                         ChangedMap* changed,
+                         StateShardProtocol* shard) -> Status {
+    auto it = changed->find(enc);
+    if (it == changed->end()) {
+      std::string key(enc);
+      Row state;
+      std::optional<std::string> stored = shard->Get(key);
+      if (stored.has_value()) {
+        SS_ASSIGN_OR_RETURN(state, DecodeRow(*stored));
+      } else {
+        state = InitAggState(aggregates_);
+      }
+      it = changed->emplace(std::move(key), std::move(state)).first;
+    }
+    UpdateAggState(aggregates_, args, &it->second);
+    return Status::OK();
+  };
+
   // Flush + emit for one shard, shared by both paths: write back the
   // changed states, then emit per output mode (batch/complete: everything;
   // append: finals of windows closed by the watermark; update: changed
@@ -429,67 +522,24 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       const int S = stores[p]->num_shards();
       const int64_t n = in[p]->num_rows();
       work[p].shard_rows.resize(static_cast<size_t>(S));
-      tasks.push_back([this, &work, &stores, &apply_shard, p, S, n, windowed,
-                       watermark, window_size, needs_args]() -> Status {
+      tasks.push_back([this, &work, &stores, &apply_shard, &live_windows,
+                       &encode_key, &load_args, &fold_row, p, S,
+                       n]() -> Status {
         PartitionWork& w = work[p];
         std::vector<ChangedMap> changed(static_cast<size_t>(S));
         Row args(aggregates_.size());  // all-null is correct for count(*)
         std::vector<int64_t> window_starts;
         std::string enc;
         for (int64_t i = 0; i < n; ++i) {
-          window_starts.clear();
-          if (windowed) {
-            const Column& time_col =
-                *w.key_cols[static_cast<size_t>(window_key_index_)];
-            if (time_col.IsNull(i)) continue;  // no event time -> no window
-            window_expr_->EnumerateWindowStarts(time_col.Int64At(i),
-                                                &window_starts);
-          } else {
-            window_starts.push_back(0);  // one dummy iteration
-          }
-          if (needs_args) {
-            for (size_t a = 0; a < aggregates_.size(); ++a) {
-              if (aggregates_[a].func != AggFunc::kCountAll) {
-                args[a] = w.arg_cols[a]->ValueAt(i);
-              }
-            }
-          }
+          live_windows(w, i, &window_starts);
+          if (window_starts.empty()) continue;
+          load_args(w, i, &args);
           for (int64_t wstart : window_starts) {
-            if (windowed && watermark != INT64_MIN &&
-                wstart + window_size <= watermark) {
-              continue;  // late data for an already-closed window: dropped
-            }
-            enc.clear();
-            enc.push_back(static_cast<char>(group_exprs_.size()));
-            for (size_t g = 0; g < group_exprs_.size(); ++g) {
-              if (static_cast<int>(g) == window_key_index_) {
-                enc.push_back(static_cast<char>(TypeId::kTimestamp));
-                char buf[8];
-                std::memcpy(buf, &wstart, 8);
-                enc.append(buf, 8);
-              } else if (const KeyDict* dict = w.key_dicts[g].get()) {
-                enc.append(
-                    dict->encoded[static_cast<size_t>(
-                        dict->codes[static_cast<size_t>(i)])]);
-              } else {
-                w.key_cols[g]->EncodeValueTo(i, &enc);
-              }
-            }
+            encode_key(w, i, wstart, &enc);
             const int s = ShardOfKey(enc, S);
-            ChangedMap& cm = changed[static_cast<size_t>(s)];
-            auto it = cm.find(enc);
-            if (it == cm.end()) {
-              Row state;
-              std::optional<std::string> stored =
-                  stores[p]->shard(s)->Get(enc);
-              if (stored.has_value()) {
-                SS_ASSIGN_OR_RETURN(state, DecodeRow(*stored));
-              } else {
-                state = InitAggState(aggregates_);
-              }
-              it = cm.emplace(enc, std::move(state)).first;
-            }
-            UpdateAggState(aggregates_, args, &it->second);
+            SS_RETURN_IF_ERROR(fold_row(enc, args,
+                                        &changed[static_cast<size_t>(s)],
+                                        stores[p]->shard(s)));
           }
         }
         for (int s = 0; s < S; ++s) {
@@ -521,45 +571,17 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
       for (int c = 0; c < C; ++c) {
         const int64_t lo = c * per;
         const int64_t hi = std::min(n, lo + per);
-        tasks.push_back([this, &work, p, c, lo, hi, S, windowed, watermark,
-                         window_size]() -> Status {
+        tasks.push_back([&work, &live_windows, &encode_key, p, c, lo, hi,
+                         S]() -> Status {
           PartitionWork& w = work[p];
           KeyedEntries* buckets =
               &w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S)];
           std::vector<int64_t> window_starts;
           std::string enc;
           for (int64_t i = lo; i < hi; ++i) {
-            window_starts.clear();
-            if (windowed) {
-              const Column& time_col =
-                  *w.key_cols[static_cast<size_t>(window_key_index_)];
-              if (time_col.IsNull(i)) continue;  // no event time -> no window
-              window_expr_->EnumerateWindowStarts(time_col.Int64At(i),
-                                                  &window_starts);
-            } else {
-              window_starts.push_back(0);  // one dummy iteration
-            }
+            live_windows(w, i, &window_starts);
             for (int64_t wstart : window_starts) {
-              if (windowed && watermark != INT64_MIN &&
-                  wstart + window_size <= watermark) {
-                continue;  // late data for an already-closed window: dropped
-              }
-              enc.clear();
-              enc.push_back(static_cast<char>(group_exprs_.size()));
-              for (size_t g = 0; g < group_exprs_.size(); ++g) {
-                if (static_cast<int>(g) == window_key_index_) {
-                  enc.push_back(static_cast<char>(TypeId::kTimestamp));
-                  char buf[8];
-                  std::memcpy(buf, &wstart, 8);
-                  enc.append(buf, 8);
-                } else if (const KeyDict* dict = w.key_dicts[g].get()) {
-                  enc.append(
-                      dict->encoded[static_cast<size_t>(
-                          dict->codes[static_cast<size_t>(i)])]);
-                } else {
-                  w.key_cols[g]->EncodeValueTo(i, &enc);
-                }
-              }
+              encode_key(w, i, wstart, &enc);
               buckets[ShardOfKey(enc, S)].Add(i, wstart, enc);
             }
           }
@@ -580,8 +602,8 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     for (size_t p = 0; p < P; ++p) {
       const int S = stores[p]->num_shards();
       for (int s = 0; s < S; ++s) {
-        tasks.push_back([this, &work, &stores, &apply_shard, p, s, S,
-                         needs_args]() -> Status {
+        tasks.push_back([this, &work, &stores, &apply_shard, &load_args,
+                         &fold_row, p, s, S]() -> Status {
           PartitionWork& w = work[p];
           StateShardProtocol* shard = stores[p]->shard(s);
           ChangedMap changed;
@@ -593,28 +615,8 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
             SS_RETURN_IF_ERROR(ForEachEntry(
                 bucket,
                 [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                  if (needs_args) {
-                    for (size_t a = 0; a < aggregates_.size(); ++a) {
-                      if (aggregates_[a].func != AggFunc::kCountAll) {
-                        args[a] = w.arg_cols[a]->ValueAt(i);
-                      }
-                    }
-                  }
-                  auto it = changed.find(enc);
-                  if (it == changed.end()) {
-                    std::string key(enc);
-                    Row state;
-                    std::optional<std::string> stored = shard->Get(key);
-                    if (stored.has_value()) {
-                      SS_ASSIGN_OR_RETURN(state, DecodeRow(*stored));
-                    } else {
-                      state = InitAggState(aggregates_);
-                    }
-                    it = changed.emplace(std::move(key), std::move(state))
-                             .first;
-                  }
-                  UpdateAggState(aggregates_, args, &it->second);
-                  return Status::OK();
+                  load_args(w, i, &args);
+                  return fold_row(enc, args, &changed, shard);
                 }));
           }
           return apply_shard(shard, changed,
@@ -629,15 +631,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // Deterministic merge: shard outputs concatenated in shard-index order.
   std::vector<RecordBatchPtr> out(P);
   for (size_t p = 0; p < P; ++p) {
-    std::vector<Row> merged;
-    size_t total = 0;
-    for (const auto& sr : work[p].shard_rows) total += sr.size();
-    merged.reserve(total);
-    for (auto& sr : work[p].shard_rows) {
-      merged.insert(merged.end(), std::make_move_iterator(sr.begin()),
-                    std::make_move_iterator(sr.end()));
-    }
-    SS_ASSIGN_OR_RETURN(out[p], RecordBatch::FromRows(schema_, merged));
+    SS_ASSIGN_OR_RETURN(out[p], MergeShardRows(schema_, &work[p].shard_rows));
   }
   return out;
 }
@@ -1218,15 +1212,7 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
   // Deterministic merge in shard-index order.
   std::vector<RecordBatchPtr> out(P);
   for (size_t p = 0; p < P; ++p) {
-    std::vector<Row> merged;
-    size_t total = 0;
-    for (const auto& sr : work[p].shard_rows) total += sr.size();
-    merged.reserve(total);
-    for (auto& sr : work[p].shard_rows) {
-      merged.insert(merged.end(), std::make_move_iterator(sr.begin()),
-                    std::make_move_iterator(sr.end()));
-    }
-    SS_ASSIGN_OR_RETURN(out[p], RecordBatch::FromRows(schema_, merged));
+    SS_ASSIGN_OR_RETURN(out[p], MergeShardRows(schema_, &work[p].shard_rows));
   }
   return out;
 }

@@ -55,7 +55,6 @@ struct StageMetrics {
 void AddTask(StageWait* w, int64_t wait_nanos, int64_t run_nanos) {
   ++w->tasks;
   w->queue_wait_nanos += wait_nanos;
-  w->max_queue_wait_nanos = std::max(w->max_queue_wait_nanos, wait_nanos);
   w->run_nanos += run_nanos;
   w->max_run_nanos = std::max(w->max_run_nanos, run_nanos);
 }

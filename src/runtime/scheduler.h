@@ -17,15 +17,14 @@ class MetricsRegistry;
 
 /// Per-stage queue/backpressure accounting filled in by RunStage: how long
 /// tasks sat between submit and start (queue wait — the backpressure signal
-/// when partitions outnumber cores), how long they ran, and the per-task
-/// maxima (skew). On SimClusterScheduler all of it is virtual time, so the
+/// when partitions outnumber cores), how long they ran, and the longest
+/// task run (skew). On SimClusterScheduler all of it is virtual time, so the
 /// numbers describe the simulated cluster, not the host.
 struct StageWait {
   int64_t tasks = 0;
   /// Sum over tasks of (start time - submit time). Tasks wait
   /// concurrently, so this can exceed the stage's wall time.
   int64_t queue_wait_nanos = 0;
-  int64_t max_queue_wait_nanos = 0;
   /// Sum over tasks of execution time (excludes queue wait).
   int64_t run_nanos = 0;
   int64_t max_run_nanos = 0;

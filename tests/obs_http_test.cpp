@@ -11,6 +11,7 @@
 #include "exec/query_manager.h"
 #include "exec/streaming_query.h"
 #include "obs/metrics.h"
+#include "obs/progress.h"
 
 namespace sstreaming {
 namespace {
@@ -64,6 +65,16 @@ void CollectPlanTotals(const Json& node, std::map<int, int64_t>* rows_in,
       node.Get("rowsOut").int_value();
   for (const Json& child : node.Get("children").array_items()) {
     CollectPlanTotals(child, rows_in, rows_out);
+  }
+}
+
+// op_id -> the integer at `key` of every node in a /plan JSON tree.
+void CollectPlanField(const Json& node, const char* key,
+                      std::map<int, int64_t>* out) {
+  (*out)[static_cast<int>(node.Get("opId").int_value())] =
+      node.Get(key).int_value();
+  for (const Json& child : node.Get("children").array_items()) {
+    CollectPlanField(child, key, out);
   }
 }
 
@@ -165,6 +176,29 @@ TEST(HttpServerTest, MetricsAgreeWithPlanProfile) {
     ASSERT_TRUE(counter_rows_out.count(op_id)) << "op " << op_id;
     EXPECT_EQ(rows, counter_rows_out[op_id]) << "rows_out of op " << op_id;
   }
+  // Every operator family the counter table exports ties out the same way.
+  // A stage-only family is absent for an operator that never ran a
+  // scheduler stage; its plan total must then be zero.
+  int families = 0;
+  for (const OpCounterField& f : kOpCounterFields) {
+    if (f.metric_family == nullptr) continue;
+    ++families;
+    std::map<int, int64_t> plan_values;
+    CollectPlanField(plan_json->Get("root"), f.json_key, &plan_values);
+    std::map<int, int64_t> counter_values =
+        ParseFamilyByOpId(metrics->body, f.metric_family);
+    ASSERT_FALSE(plan_values.empty());
+    for (const auto& [op_id, value] : plan_values) {
+      if (counter_values.count(op_id) == 0) {
+        EXPECT_TRUE(f.stage_only) << f.metric_family << " op " << op_id;
+        EXPECT_EQ(value, 0) << f.json_key << " of op " << op_id;
+        continue;
+      }
+      EXPECT_EQ(value, counter_values[op_id])
+          << f.json_key << " of op " << op_id;
+    }
+  }
+  EXPECT_GE(families, 5);
   manager.StopHttp();
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "connectors/memory.h"
 #include "exec/streaming_query.h"
 
@@ -85,6 +89,102 @@ TEST(ProgressJsonTest, RoundTripPreservesUnsetWatermark) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->watermark_micros, INT64_MIN);
   EXPECT_EQ(back->ToJson().Dump(), dump);
+}
+
+// Format pin for the event log and durable history: these two lines (one
+// operator without scheduler fields, then one with them) must parse and
+// re-serialize byte-identically, so an edit to the counter table cannot
+// silently change the on-disk format. Scheduler fields stay out of the line
+// of an operator that ran no task.
+TEST(ProgressJsonTest, GoldenLinesReserializeByteIdentically) {
+  const char* const kWithoutSchedulerFields =
+      R"json({"durationNanos":600,"durations":{"checkpointNanos":50)json"
+      R"json(,"commitNanos":75,"execNanos":200,"otherNanos":25)json"
+      R"json(,"planNanos":100,"sourceReadNanos":150})json"
+      R"json(,"e2eLatency":{"buckets":[],"count":0,"maxMicros":0)json"
+      R"json(,"p50Micros":0,"p95Micros":0,"p99Micros":0)json"
+      R"json(,"sumMicros":0},"epoch":12,"operators":[{"batches":2)json"
+      R"json(,"cpuNanos":150,"name":"StreamScan(clicks)","opId":1)json"
+      R"json(,"outputBytes":24000,"rowsIn":0,"rowsOut":1000)json"
+      R"json(,"stateBytes":0,"stateRows":0}],"queueWaitNanos":0)json"
+      R"json(,"rowsRead":1000,"rowsWritten":42,"sinkCommitNanos":60)json"
+      R"json(,"sources":[{"backlogAgeMicros":250000,"backlogRows":17)json"
+      R"json(,"name":"clicks","rows":1000,"rowsPerSec":123456.789}])json"
+      R"json(,"stateBytes":4096,"stateEntries":7)json"
+      R"json(,"triggerDriftNanos":1234,"triggerWaitNanos":999)json"
+      R"json(,"watermarkLagMicros":3000000)json"
+      R"json(,"watermarkMicros":11000000})json";
+  const char* const kWithSchedulerFields =
+      R"json({"durationNanos":600,"durations":{"checkpointNanos":50)json"
+      R"json(,"commitNanos":75,"execNanos":200,"otherNanos":25)json"
+      R"json(,"planNanos":100,"sourceReadNanos":150})json"
+      R"json(,"e2eLatency":{"buckets":[],"count":0,"maxMicros":0)json"
+      R"json(,"p50Micros":0,"p95Micros":0,"p99Micros":0)json"
+      R"json(,"sumMicros":0},"epoch":12,"operators":[{"batches":2)json"
+      R"json(,"cpuNanos":150,"name":"StreamScan(clicks)","opId":1)json"
+      R"json(,"outputBytes":24000,"rowsIn":0,"rowsOut":1000)json"
+      R"json(,"stateBytes":0,"stateRows":0},{"batches":2)json"
+      R"json(,"cpuNanos":180,"maxTaskRunNanos":2500)json"
+      R"json(,"name":"StatefulAggregate","opId":3,"outputBytes":2048)json"
+      R"json(,"queueWaitNanos":3100,"rowsIn":1000,"rowsOut":42)json"
+      R"json(,"shardState":[[3,1800],[4,2296]],"stateBytes":4096)json"
+      R"json(,"stateRows":7,"taskRunNanos":9200,"tasks":6}])json"
+      R"json(,"queueWaitNanos":3100,"rowsRead":1000,"rowsWritten":42)json"
+      R"json(,"sinkCommitNanos":60)json"
+      R"json(,"sources":[{"backlogAgeMicros":250000,"backlogRows":17)json"
+      R"json(,"name":"clicks","rows":1000,"rowsPerSec":123456.789}])json"
+      R"json(,"stateBytes":4096,"stateEntries":7)json"
+      R"json(,"triggerDriftNanos":1234,"triggerWaitNanos":999)json"
+      R"json(,"watermarkLagMicros":3000000)json"
+      R"json(,"watermarkMicros":11000000})json";
+  for (const char* line : {kWithoutSchedulerFields, kWithSchedulerFields}) {
+    auto parsed = Json::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto back = QueryProgress::FromJson(*parsed);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->ToJson().Dump(), line);
+  }
+  auto parsed = Json::Parse(kWithSchedulerFields);
+  ASSERT_TRUE(parsed.ok());
+  auto back = QueryProgress::FromJson(*parsed);
+  ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back->operators.size(), 2u);
+  const OperatorProgress& scan = back->operators[0];
+  EXPECT_EQ(scan.tasks, 0);
+  EXPECT_TRUE(scan.ToJson().Get("tasks").is_null());
+  const OperatorProgress& agg = back->operators[1];
+  EXPECT_EQ(agg.rows_in, 1000);
+  EXPECT_EQ(agg.tasks, 6);
+  EXPECT_EQ(agg.queue_wait_nanos, 3100);
+  EXPECT_EQ(agg.task_run_nanos, 9200);
+  EXPECT_EQ(agg.max_task_run_nanos, 2500);
+}
+
+// The field table lists every OpCounters member once, and Add folds each
+// by its declared rule.
+TEST(OpCountersTest, TableCoversEveryFieldAndAddFollowsMergeRules) {
+  std::set<std::string> keys;
+  OpCounters a;
+  OpCounters b;
+  int64_t seed = 1;
+  for (const OpCounterField& f : kOpCounterFields) {
+    EXPECT_TRUE(keys.insert(f.json_key).second) << f.json_key;
+    EXPECT_EQ(a.*f.member, 0) << f.json_key << " listed twice";
+    a.*f.member = seed;
+    b.*f.member = 10 * seed + 5;
+    ++seed;
+  }
+  EXPECT_EQ(keys.size() * sizeof(int64_t), sizeof(OpCounters));
+  OpCounters sum = a;
+  sum.Add(b);
+  for (const OpCounterField& f : kOpCounterFields) {
+    const int64_t want = f.merge == CounterMerge::kSum
+                             ? a.*f.member + b.*f.member
+                             : std::max(a.*f.member, b.*f.member);
+    EXPECT_EQ(sum.*f.member, want) << f.json_key;
+  }
+  EXPECT_EQ(sum.max_task_run_nanos, b.max_task_run_nanos);
+  EXPECT_EQ(sum.rows_in, a.rows_in + b.rows_in);
 }
 
 TEST(ProgressJsonTest, FromJsonToleratesMissingNewFields) {

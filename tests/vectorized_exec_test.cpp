@@ -496,6 +496,8 @@ TEST(PipelineFusionTest, QueryProgressRowAccountingTiesOutUnderFusion) {
   ASSERT_NE(filter, nullptr);
   ASSERT_NE(project, nullptr);
   EXPECT_EQ(filter->rows_in, 100);
+  // The fused node's input is the scan below the chain, not its top stage.
+  EXPECT_EQ(fused->rows_in, 100);
   // v = i % 80 over 100 rows: i in [0,40) and i in [80,100) pass v < 40.
   EXPECT_EQ(filter->rows_out, 60);
   EXPECT_EQ(project->rows_in, filter->rows_out);
