@@ -88,6 +88,43 @@ void BM_Recovery(benchmark::State& state) {
 BENCHMARK(BM_Recovery)->Arg(5)->Arg(25)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
+// The stateful fold's per-epoch state traffic, layer by layer: touch 10k
+// random keys of a store holding `range(0)` keys through Touch (one probe
+// each: read the value, write the update back through the handle), then
+// commit the epoch's delta. Next to the commit ablation above, this puts a
+// number on the probe cost of a state larger than the caches.
+void BM_FoldTouch(benchmark::State& state) {
+  const int64_t keys = state.range(0);
+  const int64_t touches_per_epoch = 10000;
+  auto dir = MakeTempDir("bench_state_fold").TakeValue();
+  StateStore::Options opts;
+  opts.snapshot_interval = 1 << 30;  // deltas only after the first commit
+  auto store = StateStore::Open(dir, 0, opts).TakeValue();
+  for (int64_t i = 0; i < keys; ++i) {
+    store->Put("key" + std::to_string(i), std::string(8, '\0'));
+  }
+  SS_CHECK_OK(store->Commit(1));
+  Random rng(11);
+  int64_t version = 1;
+  std::string value;
+  for (auto _ : state) {
+    for (int64_t t = 0; t < touches_per_epoch; ++t) {
+      const StateRef ref = store->Touch(
+          "key" + std::to_string(rng.Uniform(static_cast<uint64_t>(keys))));
+      value = store->Value(ref);
+      ++value[0];
+      store->Set(ref, value);
+    }
+    SS_CHECK_OK(store->Commit(++version));
+  }
+  state.SetItemsProcessed(state.iterations() * touches_per_epoch);
+  state.SetLabel("state_keys=" + std::to_string(keys));
+  store.reset();
+  RemoveDirRecursive(dir).ok();
+}
+BENCHMARK(BM_FoldTouch)->Arg(100000)->Arg(500000)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace sstreaming
 

@@ -329,13 +329,18 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return out_row;
   };
 
-  // Keys touched this batch -> updated state, one map per shard. In both
-  // execution paths below a shard's insertion order is the input-row order
-  // restricted to that shard (the staged path iterates chunk buckets in
-  // chunk order, and chunks are contiguous in-order row ranges), so with
-  // the same map type and key sequence the iteration order — and therefore
-  // update-mode emission order — is identical between the paths.
-  using ChangedMap = std::unordered_map<std::string, Row,
+  // Keys touched this batch -> their store entry and updated state, one map
+  // per shard. In both execution paths below a shard's insertion order is
+  // the input-row order restricted to that shard (the staged path iterates
+  // chunk buckets in chunk order, and chunks are contiguous in-order row
+  // ranges), so with the same map type and key sequence the iteration order
+  // — and therefore update-mode emission order — is identical between the
+  // paths.
+  struct Touched {
+    StateRef ref;
+    Row state;
+  };
+  using ChangedMap = std::unordered_map<std::string, Touched,
                                         TransparentStringHash,
                                         std::equal_to<>>;
 
@@ -396,37 +401,40 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     }
   };
 
-  // Folds `args` into key `enc`'s state, loading it from `shard` (or
-  // initializing it) on its first touch this batch. Shared by both paths.
+  // Folds `args` into key `enc`'s state. On the key's first touch this
+  // batch, one Touch of `shard` finds (and decodes) or creates its entry,
+  // whose handle the flush writes back through. Shared by both paths.
   auto fold_row = [this](std::string_view enc, const Row& args,
                          ChangedMap* changed,
                          StateShardProtocol* shard) -> Status {
     auto it = changed->find(enc);
     if (it == changed->end()) {
-      std::string key(enc);
-      Row state;
-      std::optional<std::string> stored = shard->Get(key);
-      if (stored.has_value()) {
-        SS_ASSIGN_OR_RETURN(state, DecodeRow(*stored));
+      Touched touched;
+      touched.ref = shard->Touch(enc);
+      if (touched.ref.created) {
+        touched.state = InitAggState(aggregates_);
       } else {
-        state = InitAggState(aggregates_);
+        SS_ASSIGN_OR_RETURN(touched.state,
+                            DecodeRow(shard->Value(touched.ref)));
       }
-      it = changed->emplace(std::move(key), std::move(state)).first;
+      it = changed->emplace(std::string(enc), std::move(touched)).first;
     }
-    UpdateAggState(aggregates_, args, &it->second);
+    UpdateAggState(aggregates_, args, &it->second.state);
     return Status::OK();
   };
 
   // Flush + emit for one shard, shared by both paths: write back the
-  // changed states, then emit per output mode (batch/complete: everything;
-  // append: finals of windows closed by the watermark; update: changed
-  // minus evicted), evicting closed windows along the way.
+  // changed states through their handles (before any eviction Remove, which
+  // would move entries), then emit per output mode (batch/complete:
+  // everything; append: finals of windows closed by the watermark; update:
+  // changed minus evicted), evicting closed windows along the way.
   auto apply_shard = [&](StateShardProtocol* shard, const ChangedMap& changed,
                          std::vector<Row>& out_rows) -> Status {
-    for (const auto& [enc, state] : changed) {
-      std::string buf;
-      EncodeRow(state, &buf);
-      shard->Put(enc, std::move(buf));
+    std::string buf;
+    for (const auto& [enc, touched] : changed) {
+      buf.clear();
+      EncodeRow(touched.state, &buf);
+      shard->Set(touched.ref, buf);
     }
 
     if (ctx->is_batch) {
@@ -484,9 +492,9 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
 
     if (ctx->mode == OutputMode::kUpdate) {
       std::unordered_set<std::string> evicted(evict.begin(), evict.end());
-      for (const auto& [enc, state] : changed) {
+      for (const auto& [enc, touched] : changed) {
         if (evicted.count(enc)) continue;  // closed; never re-emit
-        SS_ASSIGN_OR_RETURN(Row row, finalize(enc, state));
+        SS_ASSIGN_OR_RETURN(Row row, finalize(enc, touched.state));
         out_rows.push_back(std::move(row));
       }
     } else if (ctx->mode == OutputMode::kComplete) {
@@ -716,9 +724,8 @@ Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
                 w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S) +
                           static_cast<size_t>(s)],
                 [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                  std::string key(enc);
-                  if (!shard->Contains(key)) {
-                    shard->Put(key, "");
+                  // A created entry is the seen-marker itself (empty value).
+                  if (shard->Touch(enc).created) {
                     w.mask[static_cast<size_t>(i)] = 1;
                   }
                   return Status::OK();
@@ -1280,26 +1287,30 @@ Result<RecordBatchPtr> FlatMapGroupsWithStateExec::ExecutePartition(
   std::vector<Row> out_rows;
 
   // State value codec: [fixed64 timeout_at][encoded user row].
-  auto load_state = [&](const std::string& enc)
+  auto load_state = [&](StateShardProtocol* shard, StateRef ref)
       -> Result<std::pair<std::optional<Row>, int64_t>> {
-    std::optional<std::string> stored = store->Get(enc);
-    if (!stored.has_value()) {
+    if (ref.created) {
       return std::make_pair(std::optional<Row>(), INT64_MAX);
     }
+    const std::string& stored = shard->Value(ref);
     size_t pos = 0;
     uint64_t timeout_at;
-    if (!GetFixed64(*stored, &pos, &timeout_at)) {
+    if (!GetFixed64(stored, &pos, &timeout_at)) {
       return Status::Internal("corrupt group state");
     }
-    SS_ASSIGN_OR_RETURN(Row row, DecodeRow(*stored, &pos));
+    SS_ASSIGN_OR_RETURN(Row row, DecodeRow(stored, &pos));
     return std::make_pair(std::optional<Row>(std::move(row)),
                           static_cast<int64_t>(timeout_at));
   };
 
+  // Each group's state is read and written back through one Touch of its
+  // shard; the update function cannot reach the store in between.
   auto invoke = [&](const std::string& enc, const Row& key,
                     const std::vector<Row>& values,
                     bool timed_out) -> Status {
-    SS_ASSIGN_OR_RETURN(auto loaded, load_state(enc));
+    StateShardProtocol* shard = store->shard(store->ShardOf(enc));
+    const StateRef ref = shard->Touch(enc);
+    SS_ASSIGN_OR_RETURN(auto loaded, load_state(shard, ref));
     GroupState state(std::move(loaded.first), watermark, now, timed_out);
     if (!timed_out) {
       // A pre-armed timeout stays armed unless the function re-arms it.
@@ -1319,20 +1330,22 @@ Result<RecordBatchPtr> FlatMapGroupsWithStateExec::ExecutePartition(
       }
       out_rows.push_back(std::move(r));
     }
-    if (state.removed() || (timed_out && !state.updated())) {
-      // Timed-out state that the function did not refresh is dropped
-      // (matching Spark: a timeout without update removes nothing
-      // automatically, but keeping it would re-fire forever; Spark requires
-      // the function to update or remove — we default to remove).
-      store->Remove(enc);
-    } else if (state.exists()) {
+    if (!state.exists() || (timed_out && !state.updated())) {
+      // Removed state goes, and so does the entry Touch created for a group
+      // that never had state. Timed-out state that the function did not
+      // refresh is dropped too (matching Spark: a timeout without update
+      // removes nothing automatically, but keeping it would re-fire forever;
+      // Spark requires the function to update or remove — we default to
+      // remove).
+      shard->Remove(enc);
+    } else {
       std::string buf;
       int64_t timeout_at =
           timeout_ == GroupStateTimeout::kNone ? INT64_MAX
                                                : state.timeout_at_micros();
       PutFixed64(&buf, static_cast<uint64_t>(timeout_at));
       EncodeRow(state.get(), &buf);
-      store->Put(enc, std::move(buf));
+      shard->Set(ref, buf);
     }
     return Status::OK();
   };

@@ -78,11 +78,9 @@ class ShardedStateStore {
   void Remove(const std::string& key) {
     shards_[static_cast<size_t>(ShardOf(key))]->Remove(key);
   }
-  bool Contains(const std::string& key) const {
-    return shards_[static_cast<size_t>(ShardOf(key))]->Contains(key);
-  }
-  /// Visits every entry, shard 0 first — a fixed iteration grouping, though
-  /// order within a shard follows the backing hash map.
+  /// Visits every entry, shard 0 first; within a shard in the shard's entry
+  /// order (insertion order, a Remove moving the shard's newest entry into
+  /// the freed position) — deterministic for a given sequence of writes.
   void ForEach(const std::function<void(const std::string& key,
                                         const std::string& value)>& fn) const;
 

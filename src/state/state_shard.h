@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "state/state_store.h"
@@ -14,9 +15,11 @@ namespace sstreaming {
 
 /// The narrow per-shard state protocol: everything a stateful operator (or
 /// the checkpoint machinery) may ask of one shard of keyed state. The split
-/// mirrors faabric's StateServer verbs — pull (Get/Contains/ForEach), push
-/// (Put/Append/Remove), and snapshot/restore — so a shard's backing can
-/// later move out of process without touching the operators.
+/// mirrors faabric's StateServer verbs — pull (Get/ForEach), push
+/// (Put/Append/Remove), and snapshot/restore — plus one read-modify-write
+/// verb (Touch, then Value/Set through its handle) so an operator that
+/// updates a key probes the table once. A shard's backing can later move out
+/// of process without touching the operators.
 ///
 /// A shard is single-writer: within one epoch exactly one scheduler task
 /// touches a given shard, so implementations need no internal locking.
@@ -26,11 +29,17 @@ class StateShardProtocol {
 
   // -- pull --
   virtual std::optional<std::string> Get(const std::string& key) const = 0;
-  virtual bool Contains(const std::string& key) const = 0;
   /// Visits every live entry. Do not mutate during iteration.
   virtual void ForEach(
       const std::function<void(const std::string& key,
                                const std::string& value)>& fn) const = 0;
+
+  // -- read-modify-write --
+  /// Finds `key`'s entry or creates an empty one, in one probe; see
+  /// StateStore::Touch. The handle stays valid until the next Remove.
+  virtual StateRef Touch(std::string_view key) = 0;
+  virtual const std::string& Value(StateRef ref) const = 0;
+  virtual void Set(StateRef ref, std::string_view value) = 0;
 
   // -- push --
   virtual void Put(const std::string& key, std::string value) = 0;
@@ -66,13 +75,18 @@ class LocalStateShard : public StateShardProtocol {
   std::optional<std::string> Get(const std::string& key) const override {
     return store_->Get(key);
   }
-  bool Contains(const std::string& key) const override {
-    return store_->Contains(key);
-  }
   void ForEach(const std::function<void(const std::string&,
                                         const std::string&)>& fn)
       const override {
     store_->ForEach(fn);
+  }
+
+  StateRef Touch(std::string_view key) override { return store_->Touch(key); }
+  const std::string& Value(StateRef ref) const override {
+    return store_->Value(ref);
+  }
+  void Set(StateRef ref, std::string_view value) override {
+    store_->Set(ref, value);
   }
 
   void Put(const std::string& key, std::string value) override {

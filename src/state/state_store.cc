@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/logging.h"
 #include "storage/fs.h"
 #include "testing/failpoints.h"
 
@@ -13,60 +14,57 @@ namespace {
 
 constexpr char kOpPut = 1;
 constexpr char kOpRemove = 2;
+/// A record's fixed header: the op byte and the fixed64 key length.
+constexpr size_t kHeaderBytes = 9;
+/// A put's framing: the header plus the fixed64 value length.
+constexpr size_t kPutFramingBytes = kHeaderBytes + 8;
 
-void PutFixed64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > data.size()) return false;
+/// Reads a fixed64 at `*pos`, advancing it; false when `data` is too short.
+bool GetFixed64(std::string_view data, size_t* pos, uint64_t* v) {
+  if (data.size() - *pos < 8) return false;
   std::memcpy(v, data.data() + *pos, 8);
   *pos += 8;
   return true;
 }
 
+/// Reads a length-prefixed byte string at `*pos` as a view into `data`.
+bool GetBytes(std::string_view data, size_t* pos, std::string_view* out) {
+  uint64_t len;
+  if (!GetFixed64(data, pos, &len) || len > data.size() - *pos) return false;
+  *out = data.substr(*pos, len);
+  *pos += len;
+  return true;
+}
+
+/// Appends one log record's header and key; the header goes out in one
+/// append.
+void AppendRecord(std::string* out, char op, const std::string& key) {
+  char header[kHeaderBytes];
+  header[0] = op;
+  const uint64_t klen = key.size();
+  std::memcpy(header + 1, &klen, 8);
+  out->append(header, sizeof(header));
+  out->append(key);
+}
+
 void AppendPut(std::string* out, const std::string& key,
                const std::string& value) {
-  out->push_back(kOpPut);
-  PutFixed64(out, key.size());
-  out->append(key);
-  PutFixed64(out, value.size());
+  AppendRecord(out, kOpPut, key);
+  const uint64_t vlen = value.size();
+  char buf[8];
+  std::memcpy(buf, &vlen, 8);
+  out->append(buf, 8);
   out->append(value);
 }
 
-void AppendRemove(std::string* out, const std::string& key) {
-  out->push_back(kOpRemove);
-  PutFixed64(out, key.size());
-  out->append(key);
-}
-
-Status ApplyLog(const std::string& data,
-                std::unordered_map<std::string, std::string>* map) {
-  size_t pos = 0;
-  while (pos < data.size()) {
-    char op = data[pos++];
-    uint64_t klen;
-    if (!GetFixed64(data, &pos, &klen) || pos + klen > data.size()) {
-      return Status::IOError("corrupt state file (key)");
-    }
-    std::string key = data.substr(pos, klen);
-    pos += klen;
-    if (op == kOpPut) {
-      uint64_t vlen;
-      if (!GetFixed64(data, &pos, &vlen) || pos + vlen > data.size()) {
-        return Status::IOError("corrupt state file (value)");
-      }
-      (*map)[std::move(key)] = data.substr(pos, vlen);
-      pos += vlen;
-    } else if (op == kOpRemove) {
-      map->erase(key);
-    } else {
-      return Status::IOError("corrupt state file (op byte)");
-    }
-  }
-  return Status::OK();
+/// Parses the record at `*pos` into views of `data`, advancing `*pos`;
+/// false on a framing error. `value` is set for puts only.
+bool NextRecord(std::string_view data, size_t* pos, char* op,
+                std::string_view* key, std::string_view* value) {
+  *op = data[(*pos)++];
+  if (!GetBytes(data, pos, key)) return false;
+  if (*op == kOpPut) return GetBytes(data, pos, value);
+  return *op == kOpRemove;
 }
 
 struct VersionFile {
@@ -110,16 +108,7 @@ Result<std::unique_ptr<StateStore>> StateStore::Open(const std::string& dir,
                                                      Options options) {
   SS_RETURN_IF_ERROR(EnsureDir(dir));
   std::unique_ptr<StateStore> store(new StateStore(dir, options));
-  if (version > 0) {
-    SS_RETURN_IF_ERROR(store->LoadUpTo(version));
-    // ApplyLog fills data_ directly; charge the restored contents once here
-    // so the incremental accounting in Put/Remove starts from truth.
-    for (const auto& [key, value] : store->data_) {
-      store->approx_bytes_ +=
-          static_cast<int64_t>(key.size() + value.size()) +
-          kEntryOverheadBytes;
-    }
-  }
+  if (version > 0) SS_RETURN_IF_ERROR(store->LoadUpTo(version));
   store->last_commit_version_ = store->loaded_version_;
   return store;
 }
@@ -135,7 +124,7 @@ Status StateStore::LoadUpTo(int64_t version) {
   if (base > 0) {
     SS_ASSIGN_OR_RETURN(std::string data,
                         ReadFile(VersionPath(dir_, base, true)));
-    SS_RETURN_IF_ERROR(ApplyLog(data, &data_));
+    SS_RETURN_IF_ERROR(ApplyLog(data));
     loaded_version_ = base;
   }
   // Apply deltas in (base, version] in order.
@@ -143,62 +132,185 @@ Status StateStore::LoadUpTo(int64_t version) {
     if (f.is_snapshot || f.version <= base || f.version > version) continue;
     SS_ASSIGN_OR_RETURN(std::string data,
                         ReadFile(VersionPath(dir_, f.version, false)));
-    SS_RETURN_IF_ERROR(ApplyLog(data, &data_));
+    SS_RETURN_IF_ERROR(ApplyLog(data));
     loaded_version_ = f.version;
   }
   return Status::OK();
 }
 
+Status StateStore::ApplyLog(std::string_view data) {
+  // Pass 1 checks the framing and counts the puts, so a corrupt file
+  // changes nothing and a snapshot sizes the empty table exactly once.
+  size_t puts = 0;
+  for (size_t pos = 0; pos < data.size();) {
+    const size_t start = pos;
+    char op;
+    std::string_view key, value;
+    if (!NextRecord(data, &pos, &op, &key, &value)) {
+      return Status::IOError("corrupt state file: bad record at byte " +
+                             std::to_string(start));
+    }
+    if (op == kOpPut) ++puts;
+  }
+  if (entries_.empty()) {
+    Reserve(puts);
+    entries_.reserve(puts);
+  }
+  for (size_t pos = 0; pos < data.size();) {
+    char op;
+    std::string_view key, value;
+    NextRecord(data, &pos, &op, &key, &value);
+    if (op == kOpPut) {
+      const uint32_t i = FindOrInsert(key).index;
+      Assign(i, value);
+      entries_[i].durable = true;
+    } else {
+      const size_t slot = FindSlot(key, HashKey(key));
+      if (slot != std::string::npos) EraseAt(slot);
+    }
+  }
+  return Status::OK();
+}
+
+uint32_t StateStore::HashKey(std::string_view key) {
+  const uint64_t h = std::hash<std::string_view>()(key);
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+size_t StateStore::FindSlot(std::string_view key, uint32_t hash) const {
+  if (slots_.empty()) return std::string::npos;
+  for (size_t pos = hash & mask();; pos = (pos + 1) & mask()) {
+    const Slot& slot = slots_[pos];
+    if (slot.index == kEmpty) return std::string::npos;
+    if (slot.hash == hash && entries_[slot.index].key == key) return pos;
+  }
+}
+
+StateRef StateStore::FindOrInsert(std::string_view key) {
+  const uint32_t hash = HashKey(key);
+  if (entries_.size() >= slots_.size() / 4 * 3) Reserve(entries_.size() + 1);
+  size_t pos = hash & mask();
+  for (;; pos = (pos + 1) & mask()) {
+    const Slot& slot = slots_[pos];
+    if (slot.index == kEmpty) break;
+    if (slot.hash == hash && entries_[slot.index].key == key) {
+      return StateRef{slot.index, false};
+    }
+  }
+  const auto index = static_cast<uint32_t>(entries_.size());
+  slots_[pos] = Slot{hash, index};
+  Entry& entry = entries_.emplace_back();
+  entry.key.assign(key);
+  entry.hash = hash;
+  approx_bytes_ += static_cast<int64_t>(key.size()) + kEntryOverheadBytes;
+  return StateRef{index, true};
+}
+
+void StateStore::Reserve(size_t entries) {
+  // At most 3/4 full keeps linear-probing clusters short.
+  size_t capacity = std::max<size_t>(slots_.size(), 16);
+  while (entries > capacity / 4 * 3) capacity *= 2;
+  if (capacity == slots_.size()) return;
+  SS_CHECK(capacity - 1 <= kEmpty) << "state table too large";
+  slots_.assign(capacity, Slot{});
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    size_t pos = entries_[i].hash & mask();
+    while (slots_[pos].index != kEmpty) pos = (pos + 1) & mask();
+    slots_[pos] = Slot{entries_[i].hash, static_cast<uint32_t>(i)};
+  }
+}
+
+void StateStore::Assign(uint32_t i, std::string_view value) {
+  std::string& stored = entries_[i].value;
+  approx_bytes_ += static_cast<int64_t>(value.size()) -
+                   static_cast<int64_t>(stored.size());
+  stored.assign(value);
+}
+
+void StateStore::MarkDirty(uint32_t i) {
+  Entry& entry = entries_[i];
+  if (entry.dirty_pos != kClean) return;
+  entry.dirty_pos = static_cast<uint32_t>(dirty_.size());
+  dirty_.push_back(i);
+}
+
+void StateStore::EraseAt(size_t pos) {
+  const uint32_t i = slots_[pos].index;
+  approx_bytes_ -= static_cast<int64_t>(entries_[i].key.size() +
+                                        entries_[i].value.size()) +
+                   kEntryOverheadBytes;
+  // Backward-shift deletion: pull each later member of the probe cluster
+  // into the hole unless that would move it before its home position.
+  size_t hole = pos;
+  for (size_t next = (pos + 1) & mask(); slots_[next].index != kEmpty;
+       next = (next + 1) & mask()) {
+    const size_t home = slots_[next].hash & mask();
+    if (((next - home) & mask()) >= ((next - hole) & mask())) {
+      slots_[hole] = slots_[next];
+      hole = next;
+    }
+  }
+  slots_[hole].index = kEmpty;
+
+  const auto last = static_cast<uint32_t>(entries_.size() - 1);
+  if (i != last) {
+    // Re-point the newest entry's slot, then move the entry into the gap.
+    size_t p = entries_[last].hash & mask();
+    while (slots_[p].index != last) p = (p + 1) & mask();
+    slots_[p].index = i;
+    entries_[i] = std::move(entries_[last]);
+    if (entries_[i].dirty_pos != kClean) dirty_[entries_[i].dirty_pos] = i;
+  }
+  entries_.pop_back();
+}
+
+StateRef StateStore::Touch(std::string_view key) {
+  const StateRef ref = FindOrInsert(key);
+  if (ref.created) MarkDirty(ref.index);
+  return ref;
+}
+
+void StateStore::Set(StateRef ref, std::string_view value) {
+  Assign(ref.index, value);
+  MarkDirty(ref.index);
+}
+
 std::optional<std::string> StateStore::Get(const std::string& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  return it->second;
+  const size_t pos = FindSlot(key, HashKey(key));
+  if (pos == std::string::npos) return std::nullopt;
+  return entries_[slots_[pos].index].value;
 }
 
 void StateStore::Put(const std::string& key, std::string value) {
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    approx_bytes_ +=
-        static_cast<int64_t>(key.size() + value.size()) + kEntryOverheadBytes;
-    data_.emplace(key, value);
-  } else {
-    approx_bytes_ += static_cast<int64_t>(value.size()) -
-                     static_cast<int64_t>(it->second.size());
-    it->second = value;
-  }
-  pending_[key] = std::move(value);
+  const uint32_t i = FindOrInsert(key).index;
+  std::string& stored = entries_[i].value;
+  approx_bytes_ += static_cast<int64_t>(value.size()) -
+                   static_cast<int64_t>(stored.size());
+  stored = std::move(value);
+  MarkDirty(i);
 }
 
 void StateStore::Append(const std::string& key, const std::string& tail) {
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    Put(key, tail);
-    return;
-  }
+  const uint32_t i = FindOrInsert(key).index;
+  entries_[i].value.append(tail);
   approx_bytes_ += static_cast<int64_t>(tail.size());
-  it->second.append(tail);
-  pending_[key] = it->second;
+  MarkDirty(i);
 }
 
 void StateStore::Remove(const std::string& key) {
-  auto it = data_.find(key);
-  if (it != data_.end()) {
-    approx_bytes_ -=
-        static_cast<int64_t>(key.size() + it->second.size()) +
-        kEntryOverheadBytes;
-    data_.erase(it);
-  }
-  pending_[key] = std::nullopt;
-}
-
-bool StateStore::Contains(const std::string& key) const {
-  return data_.find(key) != data_.end();
+  const size_t pos = FindSlot(key, HashKey(key));
+  if (pos == std::string::npos) return;
+  const Entry& entry = entries_[slots_[pos].index];
+  if (entry.dirty_pos != kClean) dirty_[entry.dirty_pos] = kRemoved;
+  // A key the last commit never saw needs no removal record.
+  if (entry.durable) removed_.push_back(key);
+  EraseAt(pos);
 }
 
 void StateStore::ForEach(
     const std::function<void(const std::string&, const std::string&)>& fn)
     const {
-  for (const auto& [key, value] : data_) fn(key, value);
+  for (const Entry& entry : entries_) fn(entry.key, entry.value);
 }
 
 Status StateStore::Commit(int64_t version) {
@@ -212,29 +324,55 @@ Status StateStore::Commit(int64_t version) {
                         last_commit_version_ == 0;
   SS_FAILPOINT("state.commit.before_write");
   if (snapshot) SS_FAILPOINT("state.snapshot.before_write");
+  // Both file kinds are sized up front: a snapshot from the byte
+  // accounting (payload plus put framing per entry), a delta by summing
+  // its records.
   std::string buf;
   if (snapshot) {
-    for (const auto& [key, value] : data_) AppendPut(&buf, key, value);
-    ++snapshot_commits_;
-    commits_since_snapshot_ = 0;
+    buf.reserve(static_cast<size_t>(
+        approx_bytes_ -
+        (kEntryOverheadBytes - static_cast<int64_t>(kPutFramingBytes)) *
+            size()));
+    for (const Entry& entry : entries_) {
+      AppendPut(&buf, entry.key, entry.value);
+    }
   } else {
-    for (const auto& [key, value] : pending_) {
-      if (value.has_value()) {
-        AppendPut(&buf, key, *value);
-      } else {
-        AppendRemove(&buf, key);
+    // Removals first: a committed key removed and then re-created this
+    // epoch replays as remove-then-put, so the last write wins.
+    size_t bytes = 0;
+    for (const std::string& key : removed_) bytes += kHeaderBytes + key.size();
+    for (uint32_t i : dirty_) {
+      if (i != kRemoved) {
+        bytes += kPutFramingBytes + entries_[i].key.size() +
+                 entries_[i].value.size();
       }
     }
-    ++delta_commits_;
-    ++commits_since_snapshot_;
+    buf.reserve(bytes);
+    for (const std::string& key : removed_) AppendRecord(&buf, kOpRemove, key);
+    for (uint32_t i : dirty_) {
+      if (i != kRemoved) AppendPut(&buf, entries_[i].key, entries_[i].value);
+    }
   }
   SS_RETURN_IF_ERROR(
       WriteFileAtomic(VersionPath(dir_, version, snapshot), buf));
   // Crash window after the version file is durable but before the store
   // adopts it: recovery must treat the on-disk version as authoritative.
   SS_FAILPOINT("state.commit.after_write");
+  if (snapshot) {
+    ++snapshot_commits_;
+    commits_since_snapshot_ = 0;
+  } else {
+    ++delta_commits_;
+    ++commits_since_snapshot_;
+  }
   bytes_written_ += static_cast<int64_t>(buf.size());
-  pending_.clear();
+  for (uint32_t i : dirty_) {
+    if (i == kRemoved) continue;
+    entries_[i].dirty_pos = kClean;
+    entries_[i].durable = true;
+  }
+  dirty_.clear();
+  removed_.clear();
   last_commit_version_ = version;
   loaded_version_ = version;
   return Status::OK();
