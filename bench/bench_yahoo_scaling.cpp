@@ -43,16 +43,16 @@ bool IsOptimizedBuild() {
 }
 
 // Shard scaling: one 8-core simulated node, a single input partition, and
-// the keyed state hash-sharded {1, 2, 4, 8} ways. With partition parallelism
-// pinned to 1, the per-shard fold tasks are the only way the stateful stage
-// can use the other cores, so the stateful-stage speedup isolates what
-// sharding buys (docs/STATE_SHARDING.md). These points intentionally omit
-// "nodes": ssctl bench-diff matches points by node count, and shard points
-// are a separate axis with their own history.
+// the keyed state hash-sharded {1, 2, 4, 8} ways. Partitions are the unit
+// of fold parallelism, so one partition folds in one task whatever the
+// shard count: the sweep measures the overhead of sharding on one
+// partition, and the stateful rate should stay flat across it
+// (docs/STATE_SHARDING.md). These points carry "shards" and omit "nodes":
+// ssctl bench-diff keys points by (nodes, shards).
 Json RunShardSweep() {
   std::printf("\n=== Keyed-state shard scaling (1 node, 1 partition) ===\n");
   std::printf("%7s %18s %22s %10s\n", "shards", "total (M rec/s)",
-              "stateful stage (M/s)", "speedup");
+              "stateful stage (M/s)", "vs 1 shard");
 
   Json points = Json::Array();
   const int shard_counts[] = {1, 2, 4, 8};

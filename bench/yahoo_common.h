@@ -24,9 +24,9 @@ struct StructuredRunStats {
   int64_t epochs = 0;
   int64_t p50_epoch_nanos = 0;
   int64_t p99_epoch_nanos = 0;
-  /// Simulated nanos spent in the stateful aggregation's stages (eval,
-  /// shard split, per-shard fold) — the denominator of the shard-scaling
-  /// benchmark's stateful-stage throughput.
+  /// Simulated nanos spent in the stateful aggregation's stages (eval and
+  /// fold) — the denominator of the shard-scaling benchmark's
+  /// stateful-stage throughput.
   int64_t stateful_stage_nanos = 0;
 };
 

@@ -69,22 +69,14 @@ struct QueryOptions {
   int64_t retain_epochs = 0;
   StateStore::Options state_options;
   /// Keyed state within each (operator, partition) store is hash-sharded
-  /// across this many independent shards; stateful operators process shards
-  /// as parallel scheduler tasks and checkpoint/restore them independently
+  /// across this many independent shards, checkpointed and restored
+  /// independently; dedup and joins probe them as parallel scheduler tasks
   /// (docs/STATE_SHARDING.md). Results are byte-identical for any count.
   /// Existing on-disk layouts keep the count they were created with.
   int num_state_shards = 4;
   const Clock* clock = nullptr;           // default: SystemClock
   TaskScheduler* scheduler = nullptr;     // default: InlineScheduler
   bool run_optimizer = true;
-  /// Collapse chains of stateless operators into single-pass fused
-  /// pipelines (docs/VECTORIZED_EXEC.md). Off reproduces the one-batch-per-
-  /// operator execution; output is byte-identical either way.
-  bool fuse_pipelines = true;
-  /// Filters emit zero-copy selection views instead of copying survivors;
-  /// the engine materializes views at operator boundaries that need compact
-  /// storage and before the sink. Byte-identical output either way.
-  bool selection_vectors = true;
   /// Intentional-migration escape hatch for the pre-recovery checkpoint
   /// compatibility gate (docs/UPGRADES.md): SS3xxx errors — key-schema or
   /// output-mode changes, stateful-operator removal, shard/partition count

@@ -14,8 +14,7 @@ namespace {
 
 class Builder {
  public:
-  Builder(int num_partitions, const IncrementalizeOptions& options)
-      : num_partitions_(num_partitions), options_(options) {}
+  explicit Builder(int num_partitions) : num_partitions_(num_partitions) {}
 
   Result<PhysOpPtr> Build(const PlanPtr& plan) {
     switch (plan->kind()) {
@@ -33,8 +32,8 @@ class Builder {
       case LogicalPlan::Kind::kFilter: {
         const auto& node = static_cast<const FilterNode&>(*plan);
         SS_ASSIGN_OR_RETURN(PhysOpPtr child, Build(node.children()[0]));
-        return PhysOpPtr(std::make_shared<FilterExec>(
-            NextId(), child, node.predicate(), options_.selection_vectors));
+        return PhysOpPtr(
+            std::make_shared<FilterExec>(NextId(), child, node.predicate()));
       }
       case LogicalPlan::Kind::kProject: {
         const auto& node = static_cast<const ProjectNode&>(*plan);
@@ -257,7 +256,6 @@ class Builder {
   }
 
   int num_partitions_;
-  IncrementalizeOptions options_;
   int next_id_ = 0;
   std::vector<SourcePtr> sources_;
   bool has_stateful_ = false;
@@ -267,20 +265,16 @@ class Builder {
 }  // namespace
 
 Result<PhysicalPlan> Incrementalize(const PlanPtr& analyzed,
-                                    int num_partitions,
-                                    const IncrementalizeOptions& options) {
+                                    int num_partitions) {
   if (!analyzed->analyzed()) {
     return Status::InvalidArgument("plan must be analyzed first");
   }
-  Builder builder(num_partitions, options);
+  Builder builder(num_partitions);
   SS_ASSIGN_OR_RETURN(PhysOpPtr root, builder.Build(analyzed));
-  if (options.fuse_pipelines) {
-    // Fused nodes take fresh op_ids above the existing range, so original
-    // operators keep theirs — checkpoint state directories (op<N>/p<M>),
-    // watermark maps, and per-operator metrics stay stable under fusion.
-    root = FusePipelines(root, builder.mutable_next_id(),
-                         options.selection_vectors);
-  }
+  // Fused nodes take fresh op_ids above the existing range, so original
+  // operators keep theirs — checkpoint state directories (op<N>/p<M>),
+  // watermark maps, and per-operator metrics stay stable under fusion.
+  root = FusePipelines(root, builder.mutable_next_id());
   PhysicalPlan plan;
   plan.root = std::move(root);
   plan.sources = builder.sources();

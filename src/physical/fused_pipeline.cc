@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/clock.h"
 #include "common/logging.h"
 #include "physical/operators.h"
@@ -23,18 +22,6 @@ SchemaPtr ChainSchema(const PhysOpPtr& child,
     }
   }
   return child->schema();
-}
-
-// Survivor indices of `mask_col` (logical length n) written through `idx`;
-// returns the count. NULL predicate results drop the row (SQL semantics).
-int64_t CollectSurvivors(const Column& mask_col, int64_t n, int32_t* idx) {
-  int64_t kept = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (!mask_col.IsNull(i) && mask_col.BoolAt(i)) {
-      idx[kept++] = static_cast<int32_t>(i);
-    }
-  }
-  return kept;
 }
 
 }  // namespace
@@ -68,11 +55,9 @@ RecordBatchPtr GatherReferenced(const RecordBatchPtr& batch,
 }
 
 FusedPipelineExec::FusedPipelineExec(int op_id, PhysOpPtr child,
-                                     std::vector<Stage> stages,
-                                     bool emit_selection)
+                                     std::vector<Stage> stages)
     : PhysOp(op_id, ChainSchema(child, stages), {child}),
-      stages_(std::move(stages)),
-      emit_selection_(emit_selection) {
+      stages_(std::move(stages)) {
   SS_CHECK(stages_.size() >= 2) << "fusing a chain of fewer than 2 stages";
 }
 
@@ -137,38 +122,16 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
         const int64_t t0 = MonotonicNanos();
         switch (stage.kind) {
           case Stage::Kind::kFilter: {
-            const int64_t n = cur->num_rows();
             // Evaluate over the current logical rows only: a view's
             // referenced columns are gathered compactly first (EvalBatch
-            // needs selection-free storage).
+            // needs selection-free storage). The survivor indices are
+            // logical rows of `cur`, so the view composes with any
+            // selection already in force.
             RecordBatchPtr eval_in =
                 GatherReferenced(cur, stage.referenced);
             SS_ASSIGN_OR_RETURN(ColumnPtr mask,
                                 stage.predicate->EvalBatch(*eval_in));
-            int32_t* idx = nullptr;
-            std::shared_ptr<const void> keepalive;
-            std::vector<int32_t> heap_idx;
-            if (ctx->arena != nullptr) {
-              auto span =
-                  ctx->arena->AllocSpan<int32_t>(static_cast<size_t>(n));
-              idx = span.first;
-              keepalive = std::move(span.second);
-            } else {
-              heap_idx.resize(static_cast<size_t>(n));
-              idx = heap_idx.data();
-            }
-            const int64_t kept = CollectSurvivors(*mask, n, idx);
-            if (kept < n) {
-              // Indices are logical rows of `cur`; MakeView composes them
-              // with any selection already in force.
-              SelectionVector sel =
-                  keepalive != nullptr
-                      ? SelectionVector::FromOwned(idx, kept,
-                                                   std::move(keepalive))
-                      : SelectionVector::FromVector(std::vector<int32_t>(
-                            heap_idx.begin(), heap_idx.begin() + kept));
-              cur = RecordBatch::MakeView(cur, std::move(sel));
-            }
+            cur = SelectSurvivors(cur, *mask, ctx->arena);
             break;
           }
           case Stage::Kind::kProject: {
@@ -206,7 +169,6 @@ Result<std::vector<RecordBatchPtr>> FusedPipelineExec::ExecuteImpl(
         cell.batches = 1;
         cell.wall_nanos = MonotonicNanos() - t0;
       }
-      if (!emit_selection_) cur = RecordBatch::Materialize(cur);
       out[p] = std::move(cur);
       return Status::OK();
     });
@@ -266,7 +228,7 @@ FusedPipelineExec::Stage MakeStage(const PhysOpPtr& op) {
   return stage;
 }
 
-PhysOpPtr Rewrite(const PhysOpPtr& op, int* next_id, bool emit_selection,
+PhysOpPtr Rewrite(const PhysOpPtr& op, int* next_id,
                   std::map<const PhysOp*, PhysOpPtr>* memo) {
   auto it = memo->find(op.get());
   if (it != memo->end()) return it->second;
@@ -280,21 +242,20 @@ PhysOpPtr Rewrite(const PhysOpPtr& op, int* next_id, bool emit_selection,
       chain.push_back(cursor);
       cursor = cursor->children()[0];
     }
-    PhysOpPtr below = Rewrite(cursor, next_id, emit_selection, memo);
+    PhysOpPtr below = Rewrite(cursor, next_id, memo);
     std::vector<FusedPipelineExec::Stage> stages;
     stages.reserve(chain.size());
     for (size_t i = chain.size(); i-- > 0;) {  // bottom to top
       stages.push_back(MakeStage(chain[i]));
     }
     auto fused = std::make_shared<FusedPipelineExec>(
-        (*next_id)++, std::move(below), std::move(stages), emit_selection);
+        (*next_id)++, std::move(below), std::move(stages));
     (*memo)[op.get()] = fused;
     return fused;
   }
 
   for (size_t i = 0; i < op->children().size(); ++i) {
-    PhysOpPtr rewritten =
-        Rewrite(op->children()[i], next_id, emit_selection, memo);
+    PhysOpPtr rewritten = Rewrite(op->children()[i], next_id, memo);
     if (rewritten != op->children()[i]) {
       op->ReplaceChild(i, std::move(rewritten));
     }
@@ -305,10 +266,9 @@ PhysOpPtr Rewrite(const PhysOpPtr& op, int* next_id, bool emit_selection,
 
 }  // namespace
 
-PhysOpPtr FusePipelines(const PhysOpPtr& root, int* next_id,
-                        bool emit_selection) {
+PhysOpPtr FusePipelines(const PhysOpPtr& root, int* next_id) {
   std::map<const PhysOp*, PhysOpPtr> memo;
-  return Rewrite(root, next_id, emit_selection, &memo);
+  return Rewrite(root, next_id, &memo);
 }
 
 }  // namespace sstreaming

@@ -43,11 +43,8 @@ class FusedPipelineExec : public PhysOp {
     std::vector<int> referenced;
   };
 
-  /// `stages` are ordered bottom (nearest `child`) to top. `emit_selection`
-  /// false compacts the final output (used when selection vectors are
-  /// disabled but fusion is on).
-  FusedPipelineExec(int op_id, PhysOpPtr child, std::vector<Stage> stages,
-                    bool emit_selection);
+  /// `stages` are ordered bottom (nearest `child`) to top.
+  FusedPipelineExec(int op_id, PhysOpPtr child, std::vector<Stage> stages);
 
   std::string name() const override;
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
@@ -57,7 +54,6 @@ class FusedPipelineExec : public PhysOp {
 
  private:
   std::vector<Stage> stages_;
-  bool emit_selection_;
 };
 
 /// Gathers the logical rows of `batch` (through its selection, if any) for
@@ -70,10 +66,8 @@ RecordBatchPtr GatherReferenced(const RecordBatchPtr& batch,
 /// Rewrites `root`, collapsing every maximal chain of >= 2 fusable
 /// stateless operators (FilterExec / ProjectExec / WatermarkExec) into a
 /// FusedPipelineExec. Fused nodes get fresh op_ids from `next_id`; shared
-/// subtrees (DAG-shaped plans) are rewritten once. `emit_selection` is
-/// forwarded to the fused nodes.
-PhysOpPtr FusePipelines(const PhysOpPtr& root, int* next_id,
-                        bool emit_selection);
+/// subtrees (DAG-shaped plans) are rewritten once.
+PhysOpPtr FusePipelines(const PhysOpPtr& root, int* next_id);
 
 }  // namespace sstreaming
 

@@ -100,11 +100,41 @@ Result<std::vector<RecordBatchPtr>> StaticSourceExec::ExecuteImpl(
   return out;
 }
 
-FilterExec::FilterExec(int op_id, PhysOpPtr child, ExprPtr predicate,
-                       bool emit_selection)
+FilterExec::FilterExec(int op_id, PhysOpPtr child, ExprPtr predicate)
     : PhysOp(op_id, child->schema(), {child}),
-      predicate_(std::move(predicate)),
-      emit_selection_(emit_selection) {}
+      predicate_(std::move(predicate)) {}
+
+RecordBatchPtr SelectSurvivors(const RecordBatchPtr& batch, const Column& mask,
+                               Arena* arena) {
+  // Record survivor indices instead of gathering survivor rows: one int32
+  // write per kept row, zero column copies.
+  const int64_t n = batch->num_rows();
+  int32_t* idx = nullptr;
+  std::shared_ptr<const void> keepalive;
+  std::vector<int32_t> heap_idx;
+  if (arena != nullptr) {
+    auto span = arena->AllocSpan<int32_t>(static_cast<size_t>(n));
+    idx = span.first;
+    keepalive = std::move(span.second);
+  } else {
+    heap_idx.resize(static_cast<size_t>(n));
+    idx = heap_idx.data();
+  }
+  int64_t kept = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    if (!mask.IsNull(i) && mask.BoolAt(i)) {
+      idx[kept++] = static_cast<int32_t>(i);
+    }
+  }
+  if (kept == n) return batch;  // every row survived: pass through, no copy
+  if (keepalive != nullptr) {
+    return RecordBatch::MakeView(
+        batch, SelectionVector::FromOwned(idx, kept, std::move(keepalive)));
+  }
+  heap_idx.resize(static_cast<size_t>(kept));
+  return RecordBatch::MakeView(
+      batch, SelectionVector::FromVector(std::move(heap_idx)));
+}
 
 Result<std::vector<RecordBatchPtr>> FilterExec::ExecuteImpl(ExecContext* ctx) {
   SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> in,
@@ -116,47 +146,8 @@ Result<std::vector<RecordBatchPtr>> FilterExec::ExecuteImpl(ExecContext* ctx) {
       // EvalBatch requires a selection-free batch; upstream views (e.g. an
       // unfused filter chain) are compacted first.
       const RecordBatchPtr batch = RecordBatch::Materialize(in[p]);
-      const int64_t n = batch->num_rows();
-      SS_ASSIGN_OR_RETURN(ColumnPtr mask_col, predicate_->EvalBatch(*batch));
-      if (!emit_selection_) {
-        std::vector<uint8_t> mask(static_cast<size_t>(n));
-        for (int64_t i = 0; i < n; ++i) {
-          // NULL predicate results drop the row (SQL semantics).
-          mask[static_cast<size_t>(i)] =
-              !mask_col->IsNull(i) && mask_col->BoolAt(i) ? 1 : 0;
-        }
-        out[p] = batch->Filter(mask);
-        return Status::OK();
-      }
-      // Selection mode: record survivor indices instead of gathering
-      // survivor rows — one int32 write per kept row, zero column copies.
-      int32_t* idx = nullptr;
-      std::shared_ptr<const void> keepalive;
-      std::vector<int32_t> heap_idx;
-      if (ctx->arena != nullptr) {
-        auto span = ctx->arena->AllocSpan<int32_t>(static_cast<size_t>(n));
-        idx = span.first;
-        keepalive = std::move(span.second);
-      } else {
-        heap_idx.resize(static_cast<size_t>(n));
-        idx = heap_idx.data();
-      }
-      int64_t kept = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        if (!mask_col->IsNull(i) && mask_col->BoolAt(i)) {
-          idx[kept++] = static_cast<int32_t>(i);
-        }
-      }
-      if (kept == n) {
-        out[p] = batch;  // every row survived: pass through, no copy
-        return Status::OK();
-      }
-      SelectionVector sel =
-          keepalive != nullptr
-              ? SelectionVector::FromOwned(idx, kept, std::move(keepalive))
-              : SelectionVector::FromVector(std::vector<int32_t>(
-                    heap_idx.begin(), heap_idx.begin() + kept));
-      out[p] = RecordBatch::MakeView(batch, std::move(sel));
+      SS_ASSIGN_OR_RETURN(ColumnPtr mask, predicate_->EvalBatch(*batch));
+      out[p] = SelectSurvivors(batch, *mask, ctx->arena);
       return Status::OK();
     });
   }

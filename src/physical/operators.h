@@ -50,15 +50,12 @@ class StaticSourceExec : public PhysOp {
   int num_partitions_;
 };
 
-/// Vectorized filter. With `emit_selection` (the default under
-/// QueryOptions::selection_vectors), survivors are not copied: the output is
-/// a zero-copy selection view over the input batch
-/// (docs/VECTORIZED_EXEC.md). When every row survives, the input batch is
-/// passed through untouched.
+/// Vectorized filter. Survivors are not copied: the output is a zero-copy
+/// selection view over the input batch (docs/VECTORIZED_EXEC.md). When every
+/// row survives, the input batch is passed through untouched.
 class FilterExec : public PhysOp {
  public:
-  FilterExec(int op_id, PhysOpPtr child, ExprPtr predicate,
-             bool emit_selection = true);
+  FilterExec(int op_id, PhysOpPtr child, ExprPtr predicate);
 
   std::string name() const override {
     return "Filter " + predicate_->ToString();
@@ -66,12 +63,19 @@ class FilterExec : public PhysOp {
   Result<std::vector<RecordBatchPtr>> ExecuteImpl(ExecContext* ctx) override;
 
   const ExprPtr& predicate() const { return predicate_; }
-  bool emit_selection() const { return emit_selection_; }
 
  private:
   ExprPtr predicate_;
-  bool emit_selection_;
 };
+
+/// Applies an evaluated predicate: `mask` holds one result per logical row
+/// of `batch`, and a NULL result drops the row (SQL semantics). Returns
+/// `batch` itself when every row survives, else a selection view of the
+/// survivors composed with any selection already in force. The survivor
+/// indices live in `arena` when it is set, else on the heap. Shared by
+/// FilterExec and the fused pipeline's filter stage.
+RecordBatchPtr SelectSurvivors(const RecordBatchPtr& batch, const Column& mask,
+                               Arena* arena);
 
 /// Vectorized projection.
 class ProjectExec : public PhysOp {

@@ -53,16 +53,19 @@ bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
 // ---------------------------------------------------------------------------
 // Shard routing (docs/STATE_SHARDING.md)
 //
-// Stateful operators run in up to three scheduler stages per epoch:
+// A row's state key lives in shard StableHashKey(key) % num_shards. The
+// stateful aggregate runs two scheduler stages per epoch:
 //   [eval]  per partition: vectorized evaluation of key/argument columns;
+//   <name>  per partition: one pass routing each row's key to its shard's
+//           changed map, then flush, evict and emit shard by shard.
+// Dedup and the stream-stream join run two others:
 //   [split] per (partition, chunk): encode each row's state key and route it
-//           to a shard bucket by StableHashKey(key) % num_shards;
-//   <name>  per (partition, shard): fold the bucketed rows into that shard's
-//           state and emit output rows.
-// Buckets preserve input order (chunks are contiguous row ranges, visited in
-// chunk order by the fold), so everything an operator emits is a
-// deterministic function of the input regardless of shard count; shard
-// outputs are merged in shard-index order.
+//           to a shard bucket;
+//   <name>  per (partition, shard): probe the bucketed rows against that
+//           shard's state and emit output rows.
+// Every path visits a shard's rows in input order, so everything an
+// operator emits is a deterministic function of the input regardless of
+// shard count; shard outputs are merged in shard-index order.
 // ---------------------------------------------------------------------------
 
 /// Concatenates one partition's per-shard output rows in shard-index order
@@ -218,7 +221,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   }();
 
   // Stores open serially (lazy open does recovery I/O under the manager
-  // lock); the shard tasks below then touch disjoint shards lock-free.
+  // lock); the partition tasks below then touch disjoint stores lock-free.
   std::vector<ShardedStateStore*> stores(P);
   for (size_t p = 0; p < P; ++p) {
     SS_ASSIGN_OR_RETURN(stores[p],
@@ -240,8 +243,6 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     std::vector<ColumnPtr> arg_cols;
     /// One dict per string-typed scalar group key column, else null.
     std::vector<std::unique_ptr<KeyDict>> key_dicts;
-    int chunks = 1;
-    std::vector<KeyedEntries> buckets;         // chunks x shards
     std::vector<std::vector<Row>> shard_rows;  // per-shard output rows
   };
   std::vector<PartitionWork> work(P);
@@ -309,8 +310,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
         ctx->RunStage(op_id_, name() + "[eval]", std::move(tasks)));
   }
 
-  // Finalizer shared by the shard tasks (pure: decode key, append window
-  // end, finalize aggregates).
+  // Finalizer (pure: decode key, append window end, finalize aggregates).
   auto finalize = [&](const std::string& enc_key,
                       const Row& state) -> Result<Row> {
     SS_ASSIGN_OR_RETURN(Row key, DecodeRow(enc_key));
@@ -330,12 +330,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   };
 
   // Keys touched this batch -> their store entry and updated state, one map
-  // per shard. In both execution paths below a shard's insertion order is
-  // the input-row order restricted to that shard (the staged path iterates
-  // chunk buckets in chunk order, and chunks are contiguous in-order row
-  // ranges), so with the same map type and key sequence the iteration order
-  // — and therefore update-mode emission order — is identical between the
-  // paths.
+  // per shard.
   struct Touched {
     StateRef ref;
     Row state;
@@ -347,7 +342,6 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // The window starts row i updates: its event time's windows the
   // watermark has not closed (late data for a closed window is dropped;
   // none without an event time), or one dummy start when unwindowed.
-  // Shared by both paths.
   auto live_windows = [this, windowed, watermark, window_size](
                           const PartitionWork& w, int64_t i,
                           std::vector<int64_t>* starts) {
@@ -368,8 +362,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   };
 
   // State key of row i in window `wstart` (ignored when unwindowed) —
-  // byte-identical to EncodeRow of the boxed key, without boxing. Shared by
-  // both paths.
+  // byte-identical to EncodeRow of the boxed key, without boxing.
   auto encode_key = [this](const PartitionWork& w, int64_t i, int64_t wstart,
                            std::string* enc) {
     enc->clear();
@@ -403,7 +396,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
 
   // Folds `args` into key `enc`'s state. On the key's first touch this
   // batch, one Touch of `shard` finds (and decodes) or creates its entry,
-  // whose handle the flush writes back through. Shared by both paths.
+  // whose handle the flush writes back through.
   auto fold_row = [this](std::string_view enc, const Row& args,
                          ChangedMap* changed,
                          StateShardProtocol* shard) -> Status {
@@ -423,7 +416,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return Status::OK();
   };
 
-  // Flush + emit for one shard, shared by both paths: write back the
+  // Flush + emit for one shard: write back the
   // changed states through their handles (before any eviction Remove, which
   // would move entries), then emit per output mode (batch/complete:
   // everything; append: finals of windows closed by the watermark; update:
@@ -517,124 +510,44 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
     return Status::OK();
   };
 
-  // When partition parallelism alone saturates the scheduler, per-shard
-  // tasks buy no extra concurrency and the staged split's key
-  // materialization is an extra full pass over the data for nothing. Fuse
-  // instead: one task per partition routes rows straight into per-shard
-  // changed maps and applies each shard in index order — byte-identical to
-  // the staged path (see the ChangedMap note above).
-  const bool fused = ctx->scheduler->parallelism() <= static_cast<int>(P);
-  if (fused) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      const int64_t n = in[p]->num_rows();
-      work[p].shard_rows.resize(static_cast<size_t>(S));
-      tasks.push_back([this, &work, &stores, &apply_shard, &live_windows,
-                       &encode_key, &load_args, &fold_row, p, S,
-                       n]() -> Status {
-        PartitionWork& w = work[p];
-        std::vector<ChangedMap> changed(static_cast<size_t>(S));
-        Row args(aggregates_.size());  // all-null is correct for count(*)
-        std::vector<int64_t> window_starts;
-        std::string enc;
-        for (int64_t i = 0; i < n; ++i) {
-          live_windows(w, i, &window_starts);
-          if (window_starts.empty()) continue;
-          load_args(w, i, &args);
-          for (int64_t wstart : window_starts) {
-            encode_key(w, i, wstart, &enc);
-            const int s = ShardOfKey(enc, S);
-            SS_RETURN_IF_ERROR(fold_row(enc, args,
-                                        &changed[static_cast<size_t>(s)],
-                                        stores[p]->shard(s)));
-          }
+  // Fold: one task per partition makes a single pass over its rows, routing
+  // each row's key straight into its shard's changed map, then applies each
+  // shard in index order. Partitions are the unit of fold parallelism;
+  // shards are the unit of checkpoint and restore.
+  std::vector<std::function<Status()>> tasks;
+  for (size_t p = 0; p < P; ++p) {
+    const int S = stores[p]->num_shards();
+    const int64_t n = in[p]->num_rows();
+    work[p].shard_rows.resize(static_cast<size_t>(S));
+    tasks.push_back([this, &work, &stores, &apply_shard, &live_windows,
+                     &encode_key, &load_args, &fold_row, p, S,
+                     n]() -> Status {
+      PartitionWork& w = work[p];
+      std::vector<ChangedMap> changed(static_cast<size_t>(S));
+      Row args(aggregates_.size());  // all-null is correct for count(*)
+      std::vector<int64_t> window_starts;
+      std::string enc;
+      for (int64_t i = 0; i < n; ++i) {
+        live_windows(w, i, &window_starts);
+        if (window_starts.empty()) continue;
+        load_args(w, i, &args);
+        for (int64_t wstart : window_starts) {
+          encode_key(w, i, wstart, &enc);
+          const int s = ShardOfKey(enc, S);
+          SS_RETURN_IF_ERROR(fold_row(enc, args,
+                                      &changed[static_cast<size_t>(s)],
+                                      stores[p]->shard(s)));
         }
-        for (int s = 0; s < S; ++s) {
-          SS_RETURN_IF_ERROR(
-              apply_shard(stores[p]->shard(s), changed[static_cast<size_t>(s)],
-                          w.shard_rows[static_cast<size_t>(s)]));
-        }
-        return Status::OK();
-      });
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
-  }
-
-  // Stage 2 [split]: enumerate window starts, drop late rows, serialize
-  // each row's group key (byte-identical to EncodeRow but without boxing),
-  // and route it to a shard bucket by key hash. Chunked so one big
-  // partition still splits in parallel. Skipped on the fused path.
-  if (!fused) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      const int64_t n = in[p]->num_rows();
-      work[p].chunks = SplitChunks(n, S);
-      work[p].buckets.resize(static_cast<size_t>(work[p].chunks) *
-                             static_cast<size_t>(S));
-      work[p].shard_rows.resize(static_cast<size_t>(S));
-      const int C = work[p].chunks;
-      const int64_t per = (n + C - 1) / C;
-      for (int c = 0; c < C; ++c) {
-        const int64_t lo = c * per;
-        const int64_t hi = std::min(n, lo + per);
-        tasks.push_back([&work, &live_windows, &encode_key, p, c, lo, hi,
-                         S]() -> Status {
-          PartitionWork& w = work[p];
-          KeyedEntries* buckets =
-              &w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S)];
-          std::vector<int64_t> window_starts;
-          std::string enc;
-          for (int64_t i = lo; i < hi; ++i) {
-            live_windows(w, i, &window_starts);
-            for (int64_t wstart : window_starts) {
-              encode_key(w, i, wstart, &enc);
-              buckets[ShardOfKey(enc, S)].Add(i, wstart, enc);
-            }
-          }
-          return Status::OK();
-        });
       }
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name() + "[split]",
-        CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
-
-  // Stage 3: fold each shard's bucketed rows into its state and emit. One
-  // task per (partition, shard); a shard is only touched by its own task.
-  // Skipped on the fused path.
-  if (!fused) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
       for (int s = 0; s < S; ++s) {
-        tasks.push_back([this, &work, &stores, &apply_shard, &load_args,
-                         &fold_row, p, s, S]() -> Status {
-          PartitionWork& w = work[p];
-          StateShardProtocol* shard = stores[p]->shard(s);
-          ChangedMap changed;
-          Row args(aggregates_.size());  // all-null is correct for count(*)
-          for (int c = 0; c < w.chunks; ++c) {
-            const KeyedEntries& bucket =
-                w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S) +
-                          static_cast<size_t>(s)];
-            SS_RETURN_IF_ERROR(ForEachEntry(
-                bucket,
-                [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                  load_args(w, i, &args);
-                  return fold_row(enc, args, &changed, shard);
-                }));
-          }
-          return apply_shard(shard, changed,
-                             w.shard_rows[static_cast<size_t>(s)]);
-        });
+        SS_RETURN_IF_ERROR(
+            apply_shard(stores[p]->shard(s), changed[static_cast<size_t>(s)],
+                        w.shard_rows[static_cast<size_t>(s)]));
       }
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name(), CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
+      return Status::OK();
+    });
   }
+  SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
 
   // Deterministic merge: shard outputs concatenated in shard-index order.
   std::vector<RecordBatchPtr> out(P);

@@ -166,8 +166,8 @@ class SimClusterScheduler : public TaskScheduler {
   }
 
   /// Simulated time consumed by stages whose name starts with `prefix` —
-  /// e.g. "StatefulAggregate" covers the operator's [eval]/[split]/fold
-  /// sub-stages. The per-stage ledger behind the shard-scaling benchmark's
+  /// e.g. "StatefulAggregate" covers the operator's [eval] and fold
+  /// stages. The per-stage ledger behind the shard-scaling benchmark's
   /// stateful-stage throughput.
   int64_t StageVirtualNanos(const std::string& prefix) const;
 

@@ -247,6 +247,10 @@ TEST(DoctorTest, UndersizedPoolYieldsSchedulerSaturated) {
   const Json& evidence = report.findings.front().evidence;
   EXPECT_GT(evidence.Get("queuedFraction").double_value(), 0.4);
   EXPECT_EQ(evidence.Get("schedulerParallelism").int_value(), 1);
+  // The advice names a setting that exists: fewer partitions, fewer tasks.
+  EXPECT_NE(report.findings.front().suggestion.find("num_partitions"),
+            std::string::npos)
+      << report.findings.front().suggestion;
 
   (*query)->Stop();
   ExpectOfflineParity(dir, "scheduler-saturated");

@@ -382,17 +382,14 @@ TEST_P(ShardedDifferentialTest, OutputIsByteIdenticalAcrossShardCounts) {
   }
 }
 
-TEST_P(ShardedDifferentialTest, StagedPathMatchesFusedGolden) {
-  // The stateful aggregate has two execution strategies: a fused single
-  // pass when partition parallelism saturates the scheduler (the inline
-  // golden below), and a staged split/fold when spare cores make per-shard
-  // tasks worthwhile. A pool scheduler wider than the partition count
-  // forces the staged path — with real cross-thread execution — and the
-  // output must still be byte-identical to the fused golden.
+TEST_P(ShardedDifferentialTest, PoolSchedulerRunMatchesInlineGolden) {
+  // The inline golden runs every task on the calling thread; an 8-thread
+  // pool runs the partition tasks (and the dedup/join shard tasks) on real
+  // threads concurrently. The output must still be byte-identical.
   DifferentialRun golden = RunPipeline(GetParam(), 4, 20260810, false);
   ASSERT_FALSE(golden.epochs.empty());
   for (int shards : {1, 4, 7}) {
-    PoolScheduler pool(8);  // parallelism 8 > 2 partitions -> staged
+    PoolScheduler pool(8);
     DifferentialRun run = RunPipeline(GetParam(), shards, 20260810, false,
                                       &pool);
     if (shards == 4) {

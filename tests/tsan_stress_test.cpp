@@ -44,11 +44,10 @@ TEST(TsanStressTest, ShardedAggUnderPoolSchedulerAndConcurrentScrapes) {
   QueryManager manager;
   QueryOptions opts;
   opts.mode = OutputMode::kUpdate;
-  // Fewer partitions than pool threads forces the staged split/fold path
-  // (the one with cross-thread shard tasks); 2x8 shard tasks then race on
-  // the 4 pool threads.
-  opts.num_partitions = 2;
-  opts.num_state_shards = 8;  // shard tasks outnumber pool threads
+  // One partition per pool thread: four concurrent partition folds, each
+  // over 8 shards, race the /metrics and /plan scrapers below.
+  opts.num_partitions = 4;
+  opts.num_state_shards = 8;
   opts.scheduler = &pool;
   opts.trigger = Trigger::ProcessingTime(1000);  // 1ms
   DataFrame df = DataFrame::ReadStream(stream)

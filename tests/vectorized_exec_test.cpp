@@ -1,9 +1,9 @@
 // Vectorized hot path: selection-vector semantics on RecordBatch, the
 // FilterExec zero-copy contract, the per-epoch Arena, pipeline fusion
-// structure + per-stage accounting, and the differential battery asserting
-// the selection-aware / fused execution strategies produce byte-identical
-// sink output to the fully materializing path on all three stateful
-// pipelines (docs/VECTORIZED_EXEC.md).
+// structure + per-stage accounting, and the prefix-consistency battery
+// asserting that the fused, selection-aware streaming pipelines leave the
+// sink holding the batch result over every input prefix (paper §4.2,
+// docs/VECTORIZED_EXEC.md).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "common/arena.h"
 #include "common/random.h"
 #include "connectors/memory.h"
+#include "exec/batch_executor.h"
 #include "exec/streaming_query.h"
 #include "physical/fused_pipeline.h"
 #include "physical/operators.h"
@@ -222,8 +223,7 @@ TEST(FilterExecSelectionTest, FullSurvivalPassesTheInputBatchThrough) {
   auto source = std::make_shared<FixedOp>(
       0, EventSchema(), std::vector<RecordBatchPtr>{batch});
   auto filter = std::make_shared<FilterExec>(
-      1, source, ResolvedPred(Ge(Col("k"), Lit(int64_t{0}))),
-      /*emit_selection=*/true);
+      1, source, ResolvedPred(Ge(Col("k"), Lit(int64_t{0}))));
   ExecHarness h;
   auto out = filter->Execute(&h.ctx);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -240,15 +240,10 @@ TEST(FilterExecSelectionTest, PartialSurvivalEmitsAViewNotACopy) {
       0, EventSchema(), std::vector<RecordBatchPtr>{batch});
   ExprPtr pred = ResolvedPred(Lt(Col("k"), Lit(int64_t{25})));
 
-  ExecHarness h1;
-  auto selecting = std::make_shared<FilterExec>(1, source, pred, true);
-  auto sel_out = selecting->Execute(&h1.ctx);
+  ExecHarness h;
+  auto filter = std::make_shared<FilterExec>(1, source, pred);
+  auto sel_out = filter->Execute(&h.ctx);
   ASSERT_TRUE(sel_out.ok()) << sel_out.status().ToString();
-
-  ExecHarness h2;
-  auto materializing = std::make_shared<FilterExec>(1, source, pred, false);
-  auto mat_out = materializing->Execute(&h2.ctx);
-  ASSERT_TRUE(mat_out.ok()) << mat_out.status().ToString();
 
   ASSERT_EQ(sel_out->size(), 1u);
   const RecordBatchPtr& view = (*sel_out)[0];
@@ -257,8 +252,15 @@ TEST(FilterExecSelectionTest, PartialSurvivalEmitsAViewNotACopy) {
   EXPECT_EQ(view->column(0).get(), batch->column(0).get());
   EXPECT_LT(view->num_rows(), batch->num_rows());
   EXPECT_GT(view->num_rows(), 0);
-  // Logical content identical to the materializing path.
-  EXPECT_EQ(view->ToRows(), (*mat_out)[0]->ToRows());
+  // Logical content: exactly the input rows the predicate keeps when
+  // evaluated row at a time.
+  std::vector<Row> expect;
+  for (const Row& row : batch->ToRows()) {
+    auto keep = pred->EvalRow(row);
+    ASSERT_TRUE(keep.ok()) << keep.status().ToString();
+    if (!keep->is_null() && keep->bool_value()) expect.push_back(row);
+  }
+  EXPECT_EQ(view->ToRows(), expect);
 }
 
 TEST(FilterExecSelectionTest, NoSurvivorsYieldsAnEmptyLogicalBatch) {
@@ -266,7 +268,7 @@ TEST(FilterExecSelectionTest, NoSurvivorsYieldsAnEmptyLogicalBatch) {
   auto source = std::make_shared<FixedOp>(
       0, EventSchema(), std::vector<RecordBatchPtr>{batch});
   auto filter = std::make_shared<FilterExec>(
-      1, source, ResolvedPred(Lt(Col("k"), Lit(int64_t{-1}))), true);
+      1, source, ResolvedPred(Lt(Col("k"), Lit(int64_t{-1}))));
   ExecHarness h;
   auto out = filter->Execute(&h.ctx);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -339,13 +341,12 @@ struct ChainPlan {
   PhysOpPtr root;
 };
 
-ChainPlan MakeChain(const RecordBatchPtr& batch, bool emit_selection) {
+ChainPlan MakeChain(const RecordBatchPtr& batch) {
   ChainPlan p;
   p.source = std::make_shared<StaticSourceExec>(
       0, EventSchema(), std::vector<RecordBatchPtr>{batch}, 1);
   p.filter = std::make_shared<FilterExec>(
-      1, p.source, ResolvedPred(Lt(Col("k"), Lit(int64_t{30}))),
-      emit_selection);
+      1, p.source, ResolvedPred(Lt(Col("k"), Lit(int64_t{30}))));
   SchemaPtr out_schema = Schema::Make(
       {{"k2", TypeId::kInt64, false}, {"s", TypeId::kString, true}});
   std::vector<NamedExpr> exprs = {
@@ -358,9 +359,9 @@ ChainPlan MakeChain(const RecordBatchPtr& batch, bool emit_selection) {
 }
 
 TEST(PipelineFusionTest, ChainsOfTwoOrMoreStatelessOpsFuse) {
-  ChainPlan plan = MakeChain(RandomBatch(100, 20), true);
+  ChainPlan plan = MakeChain(RandomBatch(100, 20));
   int next_id = 3;
-  PhysOpPtr fused_root = FusePipelines(plan.root, &next_id, true);
+  PhysOpPtr fused_root = FusePipelines(plan.root, &next_id);
   auto* fused = dynamic_cast<FusedPipelineExec*>(fused_root.get());
   ASSERT_NE(fused, nullptr) << fused_root->TreeString();
   // Fresh op_id above the existing range; stages keep the originals
@@ -382,9 +383,9 @@ TEST(PipelineFusionTest, StandaloneStatelessOpsAreLeftAlone) {
   auto source = std::make_shared<StaticSourceExec>(
       0, EventSchema(), std::vector<RecordBatchPtr>{batch}, 1);
   auto filter = std::make_shared<FilterExec>(
-      1, source, ResolvedPred(Lt(Col("k"), Lit(int64_t{30}))), true);
+      1, source, ResolvedPred(Lt(Col("k"), Lit(int64_t{30}))));
   int next_id = 2;
-  PhysOpPtr rewritten = FusePipelines(filter, &next_id, true);
+  PhysOpPtr rewritten = FusePipelines(filter, &next_id);
   // A chain of one is not worth a fused node.
   EXPECT_EQ(rewritten.get(), filter.get());
   EXPECT_EQ(next_id, 2);
@@ -392,44 +393,39 @@ TEST(PipelineFusionTest, StandaloneStatelessOpsAreLeftAlone) {
 
 TEST(PipelineFusionTest, FusedExecutionMatchesUnfusedByteForByte) {
   RecordBatchPtr batch = RandomBatch(500, 22);
-  for (bool emit_selection : {false, true}) {
-    SCOPED_TRACE(std::string("emit_selection=") +
-                 (emit_selection ? "true" : "false"));
-    ChainPlan unfused = MakeChain(batch, emit_selection);
-    ExecHarness h1;
-    auto expect = unfused.root->Execute(&h1.ctx);
-    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ChainPlan unfused = MakeChain(batch);
+  ExecHarness h1;
+  auto expect = unfused.root->Execute(&h1.ctx);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
 
-    ChainPlan plan = MakeChain(batch, emit_selection);
-    int next_id = 3;
-    PhysOpPtr fused = FusePipelines(plan.root, &next_id, emit_selection);
-    ExecHarness h2;
-    auto got = fused->Execute(&h2.ctx);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ChainPlan plan = MakeChain(batch);
+  int next_id = 3;
+  PhysOpPtr fused = FusePipelines(plan.root, &next_id);
+  ExecHarness h2;
+  auto got = fused->Execute(&h2.ctx);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
 
-    ASSERT_EQ(got->size(), expect->size());
-    for (size_t p = 0; p < got->size(); ++p) {
-      EXPECT_EQ(RecordBatch::Materialize((*got)[p])->ToRows(),
-                RecordBatch::Materialize((*expect)[p])->ToRows());
-    }
+  ASSERT_EQ(got->size(), expect->size());
+  for (size_t p = 0; p < got->size(); ++p) {
+    EXPECT_EQ(RecordBatch::Materialize((*got)[p])->ToRows(),
+              RecordBatch::Materialize((*expect)[p])->ToRows());
+  }
 
-    // Per-stage accounting ties out: the original op_ids are credited with
-    // the same row counts the standalone operators produced.
-    for (int op_id : {1, 2}) {
-      std::lock_guard<std::mutex> l1(h1.ctx.metrics_mu);
-      std::lock_guard<std::mutex> l2(h2.ctx.metrics_mu);
-      ASSERT_TRUE(h2.ctx.op_stats.count(op_id)) << "op " << op_id;
-      EXPECT_EQ(h2.ctx.op_stats[op_id].rows_out,
-                h1.ctx.op_stats[op_id].rows_out)
-          << "op " << op_id;
-    }
+  // Per-stage accounting ties out: the original op_ids are credited with
+  // the same row counts the standalone operators produced.
+  for (int op_id : {1, 2}) {
+    std::lock_guard<std::mutex> l1(h1.ctx.metrics_mu);
+    std::lock_guard<std::mutex> l2(h2.ctx.metrics_mu);
+    ASSERT_TRUE(h2.ctx.op_stats.count(op_id)) << "op " << op_id;
+    EXPECT_EQ(h2.ctx.op_stats[op_id].rows_out, h1.ctx.op_stats[op_id].rows_out)
+        << "op " << op_id;
   }
 }
 
 TEST(PipelineFusionTest, ProfileNodesChainStagesUnderOriginalIds) {
-  ChainPlan plan = MakeChain(RandomBatch(10, 23), true);
+  ChainPlan plan = MakeChain(RandomBatch(10, 23));
   int next_id = 3;
-  PhysOpPtr root = FusePipelines(plan.root, &next_id, true);
+  PhysOpPtr root = FusePipelines(plan.root, &next_id);
   std::vector<OpProfileNode> nodes;
   root->CollectProfileNodes(&nodes);
   // Fused node + one node per stage, wired fused <- Project <- Filter <-
@@ -466,8 +462,6 @@ TEST(PipelineFusionTest, QueryProgressRowAccountingTiesOutUnderFusion) {
   QueryOptions opts;
   opts.mode = OutputMode::kAppend;
   opts.num_partitions = 2;
-  opts.fuse_pipelines = true;
-  opts.selection_vectors = true;
   auto query = StreamingQuery::Start(df, sink, opts);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
 
@@ -508,13 +502,14 @@ TEST(PipelineFusionTest, QueryProgressRowAccountingTiesOutUnderFusion) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential battery: {fuse_pipelines} x {selection_vectors} over the
-// three stateful pipelines must be byte-identical to the fully
-// materializing golden, per epoch and in final state accounting.
+// Prefix-consistency battery (paper §4.2): over the three stateful
+// pipelines, each behind a fusable stateless prefix, the sink table after
+// every round must equal the batch result of the same query over the rows
+// added so far.
 // ---------------------------------------------------------------------------
 
-/// Records each epoch's first delivery (sorted) while delegating table
-/// semantics to MemorySink (same harness as the sharded-state battery).
+/// MemorySink that also counts epochs re-committed with different rows
+/// (recovery replay must re-deliver byte-identical epochs).
 class EpochRecordingSink : public Sink {
  public:
   bool SupportsMode(OutputMode mode) const override {
@@ -536,7 +531,6 @@ class EpochRecordingSink : public Sink {
     return Status::OK();
   }
   std::vector<Row> SortedSnapshot() const { return inner_.SortedSnapshot(); }
-  const std::map<int64_t, std::vector<Row>>& epochs() const { return epochs_; }
   int64_t redelivery_mismatches() const { return redelivery_mismatches_; }
 
  private:
@@ -546,13 +540,6 @@ class EpochRecordingSink : public Sink {
 };
 
 enum class Pipeline { kWindowedAgg, kDedup, kJoin };
-
-struct DifferentialRun {
-  std::map<int64_t, std::vector<Row>> epochs;
-  std::vector<Row> final_rows;
-  int64_t state_rows = 0;
-  int64_t state_bytes = 0;
-};
 
 SchemaPtr LeftSchema() {
   return Schema::Make({{"k", TypeId::kString, false},
@@ -566,7 +553,8 @@ SchemaPtr RightSchema() {
                        {"rtime", TypeId::kTimestamp, false}});
 }
 
-/// Deterministic per-round workload, identical across execution strategies.
+/// Deterministic per-round workload. A row of round r has an event time in
+/// [6r, 6r + 8) s.
 std::vector<Row> MakeRound(Random* rng, int round, int rows) {
   static const char* kKeys[] = {"alpha", "beta", "gamma", "delta", "epsilon",
                                 "zeta", "eta", "theta"};
@@ -581,140 +569,128 @@ std::vector<Row> MakeRound(Random* rng, int round, int rows) {
   return out;
 }
 
-/// Every pipeline carries a fusable stateless prefix (Where + Watermark or
-/// Where + Project) so the fused/selection paths actually engage before the
-/// stateful operator's materialization boundary.
-DifferentialRun RunPipeline(Pipeline pipeline, bool fuse, bool selection,
-                            uint64_t seed, bool restart_midway) {
-  DifferentialRun result;
-  auto dir = MakeTempDir("vectorized_diff");
-  EXPECT_TRUE(dir.ok());
-
-  auto left = std::make_shared<MemoryStream>("left", LeftSchema(), 2);
-  std::shared_ptr<MemoryStream> right;
-  DataFrame df = DataFrame::ReadStream(left).Where(
-      Lt(Col("v"), Lit(int64_t{40})));
-  OutputMode mode = OutputMode::kAppend;
+/// The query under test over `left` (and `right`, for the join), streaming
+/// or static alike. Every pipeline carries a fusable stateless prefix
+/// (Where + Watermark or Where + Select) so the fused selection path
+/// engages before the stateful operator's materialization boundary.
+///
+/// The windowed aggregate drops no row as late: a round-r row's time is at
+/// least 6r s while the watermark stays at or below 6r - 4 s, and windows
+/// are 10 s. The join has no watermarks, so it evicts no state and its
+/// output is exactly the batch join (eviction is covered by
+/// ShardedDifferentialTest).
+DataFrame BuildQuery(Pipeline pipeline, const DataFrame& left,
+                     const DataFrame& right) {
+  DataFrame df = left.Where(Lt(Col("v"), Lit(int64_t{40})));
   switch (pipeline) {
     case Pipeline::kWindowedAgg:
       // String group key -> exercises the dictionary key encoding too.
-      df = df.WithWatermark("time", 5 * kSec)
-               .GroupBy({As(TumblingWindow(Col("time"), 10 * kSec), "w"),
-                         NamedExpr{Col("k"), "k"}})
-               .Agg({SumOf(Col("v"), "total")});
-      mode = OutputMode::kUpdate;
-      break;
+      return df.WithWatermark("time", 5 * kSec)
+          .GroupBy({As(TumblingWindow(Col("time"), 10 * kSec), "w"),
+                    NamedExpr{Col("k"), "k"}})
+          .Agg({SumOf(Col("v"), "total")});
     case Pipeline::kDedup:
-      df = df.SelectColumns({"k", "v"}).Distinct();
-      mode = OutputMode::kAppend;
-      break;
+      return df.SelectColumns({"k", "v"}).Distinct();
     case Pipeline::kJoin:
-      right = std::make_shared<MemoryStream>("right", RightSchema(), 2);
-      df = df.WithWatermark("time", 5 * kSec)
-               .Join(DataFrame::ReadStream(right).WithWatermark("rtime",
-                                                                5 * kSec),
-                     {"k"});
-      mode = OutputMode::kAppend;
-      break;
+      return df.SelectColumns({"k", "v", "time"}).Join(right, {"k"});
   }
+  return df;
+}
+
+OutputMode ModeOf(Pipeline pipeline) {
+  return pipeline == Pipeline::kWindowedAgg ? OutputMode::kUpdate
+                                            : OutputMode::kAppend;
+}
+
+/// Runs six rounds of `pipeline` (optionally crash-recovering after the
+/// third) and, after every round, checks the sink table against
+/// RunBatchSorted over the same input prefix.
+void ExpectPrefixConsistent(Pipeline pipeline, uint64_t seed,
+                            bool restart_midway) {
+  auto dir = MakeTempDir("vectorized_prefix");
+  ASSERT_TRUE(dir.ok());
+
+  auto left = std::make_shared<MemoryStream>("left", LeftSchema(), 2);
+  auto right = std::make_shared<MemoryStream>("right", RightSchema(), 2);
+  const bool joins = pipeline == Pipeline::kJoin;
+  DataFrame df = BuildQuery(pipeline, DataFrame::ReadStream(left),
+                            DataFrame::ReadStream(right));
 
   auto sink = std::make_shared<EpochRecordingSink>();
   QueryOptions opts;
-  opts.mode = mode;
+  opts.mode = ModeOf(pipeline);
   opts.num_partitions = 2;
   opts.checkpoint_dir = *dir;
   opts.state_checkpoint_interval = 2;
   opts.enable_tracing = false;
-  opts.fuse_pipelines = fuse;
-  opts.selection_vectors = selection;
 
   auto query = StreamingQuery::Start(df, sink, opts);
-  EXPECT_TRUE(query.ok()) << query.status().ToString();
-  if (!query.ok()) return result;
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
 
   Random left_rng(seed);
   Random right_rng(seed + 1);
+  std::vector<Row> left_rows;
+  std::vector<Row> right_rows;
   const int kRounds = 6;
   for (int r = 0; r < kRounds; ++r) {
-    EXPECT_TRUE(left->AddData(MakeRound(&left_rng, r, 10)).ok());
-    if (right != nullptr) {
-      EXPECT_TRUE(right->AddData(MakeRound(&right_rng, r, 10)).ok());
+    SCOPED_TRACE("round " + std::to_string(r));
+    std::vector<Row> lr = MakeRound(&left_rng, r, 10);
+    left_rows.insert(left_rows.end(), lr.begin(), lr.end());
+    ASSERT_TRUE(left->AddData(lr).ok());
+    if (joins) {
+      std::vector<Row> rr = MakeRound(&right_rng, r, 10);
+      right_rows.insert(right_rows.end(), rr.begin(), rr.end());
+      ASSERT_TRUE(right->AddData(rr).ok());
     }
-    EXPECT_TRUE((*query)->ProcessAllAvailable().ok());
+    ASSERT_TRUE((*query)->ProcessAllAvailable().ok());
+
+    DataFrame batch_df =
+        BuildQuery(pipeline,
+                   DataFrame::FromRows(LeftSchema(), left_rows).TakeValue(),
+                   DataFrame::FromRows(RightSchema(), right_rows).TakeValue());
+    auto expected = RunBatchSorted(batch_df);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_FALSE(expected->empty());
+    EXPECT_EQ(sink->SortedSnapshot(), *expected);
+
+    if (r == 0) {
+      // The stateless prefix really ran fused.
+      QueryProgress last;
+      ASSERT_TRUE((*query)->GetLastProgress(&last));
+      bool fused = false;
+      for (const OperatorProgress& op : last.operators) {
+        fused |= op.name.rfind("FusedPipeline", 0) == 0;
+      }
+      EXPECT_TRUE(fused) << "no FusedPipeline node in the plan";
+    }
     if (restart_midway && r == 2) {
-      // Crash-recover with the same execution strategy: fused plans must
-      // keep checkpoint state dirs and watermark keys stable (the fused
-      // node's fresh op_id sits above the original range).
+      // Crash-recover: fused plans must keep checkpoint state dirs and
+      // watermark keys stable (the fused node's fresh op_id sits above the
+      // original range).
       query->reset();
       query = StreamingQuery::Start(df, sink, opts);
-      EXPECT_TRUE(query.ok()) << query.status().ToString();
-      if (!query.ok()) return result;
+      ASSERT_TRUE(query.ok()) << query.status().ToString();
     }
-  }
-
-  QueryProgress last;
-  EXPECT_TRUE((*query)->GetLastProgress(&last));
-  for (const OperatorProgress& op : last.operators) {
-    result.state_rows += op.state_rows;
-    result.state_bytes += op.state_bytes;
   }
   EXPECT_EQ(sink->redelivery_mismatches(), 0)
       << "recovery replay re-committed an epoch with different rows";
-  result.epochs = sink->epochs();
-  result.final_rows = sink->SortedSnapshot();
   query->reset();
   RemoveDirRecursive(*dir).ok();
-  return result;
 }
 
-void ExpectEquivalent(const DifferentialRun& golden,
-                      const DifferentialRun& run, bool fuse, bool selection) {
-  SCOPED_TRACE(std::string("fuse=") + (fuse ? "1" : "0") + " selection=" +
-               (selection ? "1" : "0"));
-  ASSERT_EQ(run.epochs.size(), golden.epochs.size());
-  for (const auto& [epoch, golden_rows] : golden.epochs) {
-    auto it = run.epochs.find(epoch);
-    ASSERT_NE(it, run.epochs.end()) << "missing epoch " << epoch;
-    EXPECT_EQ(it->second, golden_rows) << "epoch " << epoch << " diverged";
-  }
-  EXPECT_EQ(run.final_rows, golden.final_rows);
-  // Selection vectors and fusion must not change what reaches the state
-  // stores: dictionary key encoding is byte-compatible, and batches are
-  // materialized at every stateful boundary.
-  EXPECT_EQ(run.state_rows, golden.state_rows);
-  EXPECT_EQ(run.state_bytes, golden.state_bytes);
-}
-
-class VectorizedDifferentialTest
+class VectorizedPrefixConsistencyTest
     : public ::testing::TestWithParam<Pipeline> {};
 
-TEST_P(VectorizedDifferentialTest,
-       OutputIsByteIdenticalAcrossExecutionStrategies) {
-  // Golden: fully materializing, no fusion — the pre-vectorization engine.
-  DifferentialRun golden =
-      RunPipeline(GetParam(), false, false, 20260811, false);
-  ASSERT_FALSE(golden.epochs.empty());
-  for (bool fuse : {false, true}) {
-    for (bool selection : {false, true}) {
-      if (!fuse && !selection) continue;
-      DifferentialRun run =
-          RunPipeline(GetParam(), fuse, selection, 20260811, false);
-      ExpectEquivalent(golden, run, fuse, selection);
-    }
-  }
+TEST_P(VectorizedPrefixConsistencyTest, SinkMatchesBatchAfterEveryRound) {
+  ExpectPrefixConsistent(GetParam(), 20260811, /*restart_midway=*/false);
 }
 
-TEST_P(VectorizedDifferentialTest, EquivalenceHoldsAcrossRestartRecovery) {
-  DifferentialRun golden =
-      RunPipeline(GetParam(), false, false, 20260812, false);
-  ASSERT_FALSE(golden.epochs.empty());
-  // The fully vectorized strategy crash-recovers mid-run and must still
-  // match the materializing golden epoch for epoch.
-  DifferentialRun run = RunPipeline(GetParam(), true, true, 20260812, true);
-  ExpectEquivalent(golden, run, true, true);
+TEST_P(VectorizedPrefixConsistencyTest,
+       SinkMatchesBatchAfterEveryRoundAcrossRestartRecovery) {
+  ExpectPrefixConsistent(GetParam(), 20260812, /*restart_midway=*/true);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPipelines, VectorizedDifferentialTest,
+INSTANTIATE_TEST_SUITE_P(AllPipelines, VectorizedPrefixConsistencyTest,
                          ::testing::Values(Pipeline::kWindowedAgg,
                                            Pipeline::kDedup, Pipeline::kJoin),
                          [](const auto& info) {

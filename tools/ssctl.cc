@@ -249,13 +249,22 @@ int CmdDiff(const std::string& dir_a, const std::string& dir_b) {
 
 // ------------------------------------------------------------- bench-diff
 
-/// One comparable point of a bench_yahoo_scaling --json document.
+/// One comparable point of a bench_yahoo_scaling --json document, keyed by
+/// (nodes, shards): node-scaling points carry no "shards" and shard-sweep
+/// points no "nodes", so each axis reads 0 on the other's points.
 struct BenchPoint {
   int64_t nodes = 0;
+  int64_t shards = 0;
   double throughput = 0;
   int64_t p99_epoch_nanos = 0;
+
+  bool SameKey(const BenchPoint& o) const {
+    return nodes == o.nodes && shards == o.shards;
+  }
 };
 
+/// Parses the points; a document holding two points with the same key is
+/// malformed (a comparison against it would be ambiguous).
 Result<std::vector<BenchPoint>> ParseBench(const Json& doc) {
   if (!doc.is_object() || !doc.Get("points").is_array()) {
     return Status::InvalidArgument("not a bench JSON document");
@@ -264,8 +273,16 @@ Result<std::vector<BenchPoint>> ParseBench(const Json& doc) {
   for (const Json& p : doc.Get("points").array_items()) {
     BenchPoint point;
     point.nodes = GetInt(p, "nodes");
+    point.shards = GetInt(p, "shards");
     point.throughput = GetDouble(p, "throughputRecsPerSec");
     point.p99_epoch_nanos = GetInt(p, "p99EpochNanos");
+    for (const BenchPoint& seen : points) {
+      if (seen.SameKey(point)) {
+        return Status::InvalidArgument(
+            "duplicate bench point nodes=" + std::to_string(point.nodes) +
+            " shards=" + std::to_string(point.shards));
+      }
+    }
     points.push_back(point);
   }
   return points;
@@ -284,17 +301,20 @@ int DiffBench(const Json& baseline_doc, const Json& current_doc,
                      .c_str());
     return 2;
   }
-  std::printf("%6s %16s %16s %9s %12s %12s %9s\n", "nodes", "base rec/s",
-              "cur rec/s", "tput", "base p99ms", "cur p99ms", "p99");
+  std::printf("%6s %6s %16s %16s %9s %12s %12s %9s\n", "nodes", "shards",
+              "base rec/s", "cur rec/s", "tput", "base p99ms", "cur p99ms",
+              "p99");
   int regressions = 0;
   for (const BenchPoint& b : *baseline) {
     const BenchPoint* c = nullptr;
     for (const BenchPoint& candidate : *current) {
-      if (candidate.nodes == b.nodes) c = &candidate;
+      if (candidate.SameKey(b)) c = &candidate;
     }
     if (c == nullptr) {
-      std::fprintf(stderr, "ssctl: current run lacks the %" PRId64
-                           "-node point\n", b.nodes);
+      std::fprintf(stderr,
+                   "ssctl: current run lacks the nodes=%" PRId64
+                   " shards=%" PRId64 " point\n",
+                   b.nodes, b.shards);
       ++regressions;
       continue;
     }
@@ -308,8 +328,10 @@ int DiffBench(const Json& baseline_doc, const Json& current_doc,
     bool tput_bad = tput_delta < -max_regress;
     bool p99_bad = p99_delta > max_regress;
     if (tput_bad || p99_bad) ++regressions;
-    std::printf("%6" PRId64 " %16.0f %16.0f %+8.1f%% %12.2f %12.2f %+8.1f%%%s\n",
-                b.nodes, b.throughput, c->throughput, tput_delta * 100,
+    std::printf("%6" PRId64 " %6" PRId64
+                " %16.0f %16.0f %+8.1f%% %12.2f %12.2f %+8.1f%%%s\n",
+                b.nodes, b.shards, b.throughput, c->throughput,
+                tput_delta * 100,
                 static_cast<double>(b.p99_epoch_nanos) / 1e6,
                 static_cast<double>(c->p99_epoch_nanos) / 1e6,
                 p99_delta * 100,
@@ -335,33 +357,44 @@ Result<Json> LoadJson(const std::string& path) {
 /// (and exit 0 on an identical run). Wired into CI so a silently broken
 /// comparator cannot wave real regressions through.
 int BenchDiffSelfTest() {
+  // Two node-scaling points and a four-point shard sweep, laid out like a
+  // bench_yahoo_scaling document (shard points carry no "nodes").
   Json baseline = Json::Object();
   baseline.Set("benchmark", Json::Str("yahoo_scaling"));
   Json points = Json::Array();
-  const int64_t nodes[] = {1, 5};
-  for (int64_t n : nodes) {
+  for (int64_t n : {1, 5}) {
     Json p = Json::Object();
     p.Set("nodes", Json::Int(n));
     p.Set("throughputRecsPerSec", Json::Double(1e7 * static_cast<double>(n)));
     p.Set("p99EpochNanos", Json::Int(50000000));
     points.Append(std::move(p));
   }
+  for (int64_t s : {1, 2, 4, 8}) {
+    Json p = Json::Object();
+    p.Set("shards", Json::Int(s));
+    p.Set("throughputRecsPerSec", Json::Double(8e6));
+    points.Append(std::move(p));
+  }
   baseline.Set("points", std::move(points));
 
-  auto degrade = [&baseline](double tput_factor, double p99_factor) {
+  // A copy of the baseline with throughput and p99 scaled; `only_shards`
+  // > 0 degrades just that shard point.
+  auto degrade = [&baseline](double tput_factor, double p99_factor,
+                             int64_t only_shards = 0) {
     Json doc = Json::Object();
     doc.Set("benchmark", Json::Str("yahoo_scaling"));
     Json pts = Json::Array();
     for (const Json& p : baseline.Get("points").array_items()) {
-      Json q = Json::Object();
-      q.Set("nodes", Json::Int(p.Get("nodes").int_value()));
+      const bool hit =
+          only_shards == 0 || GetInt(p, "shards") == only_shards;
+      Json q = p;
       q.Set("throughputRecsPerSec",
-            Json::Double(p.Get("throughputRecsPerSec").double_value() *
-                         tput_factor));
+            Json::Double(GetDouble(p, "throughputRecsPerSec") *
+                         (hit ? tput_factor : 1.0)));
       q.Set("p99EpochNanos",
             Json::Int(static_cast<int64_t>(
-                static_cast<double>(p.Get("p99EpochNanos").int_value()) *
-                p99_factor)));
+                static_cast<double>(GetInt(p, "p99EpochNanos")) *
+                (hit ? p99_factor : 1.0))));
       pts.Append(std::move(q));
     }
     doc.Set("points", std::move(pts));
@@ -381,6 +414,26 @@ int BenchDiffSelfTest() {
   std::printf("--- self-test: 20%% p99 growth must fail\n");
   if (DiffBench(baseline, degrade(1.0, 1.2), 0.10) != 1) {
     std::fprintf(stderr, "self-test FAILED: 20%% p99 growth not flagged\n");
+    return 1;
+  }
+  std::printf("--- self-test: 20%% drop at the shards=1 point alone must "
+              "fail\n");
+  if (DiffBench(baseline, degrade(0.8, 1.0, /*only_shards=*/1), 0.10) != 1) {
+    std::fprintf(stderr,
+                 "self-test FAILED: shards=1 regression not flagged\n");
+    return 1;
+  }
+  std::printf("--- self-test: duplicate point key must be malformed\n");
+  Json duplicated = degrade(1.0, 1.0);
+  Json extra = Json::Object();
+  extra.Set("shards", Json::Int(4));
+  extra.Set("throughputRecsPerSec", Json::Double(8e6));
+  Json dup_points = duplicated.Get("points");
+  dup_points.Append(std::move(extra));
+  duplicated.Set("points", std::move(dup_points));
+  if (DiffBench(baseline, duplicated, 0.10) != 2 ||
+      DiffBench(duplicated, baseline, 0.10) != 2) {
+    std::fprintf(stderr, "self-test FAILED: duplicate key not rejected\n");
     return 1;
   }
   std::printf("self-test PASS\n");
