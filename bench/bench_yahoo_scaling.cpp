@@ -7,12 +7,10 @@
 // (throughput, p50/p99 epoch latency, and the configuration of every point)
 // for CI trend tracking, e.g.:  bench_yahoo_scaling --json BENCH_yahoo.json
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 #include "common/json.h"
-#include "obs/profiler.h"
 #include "storage/fs.h"
 #include "yahoo_common.h"
 
@@ -105,70 +103,6 @@ Json RunShardSweep() {
   return points;
 }
 
-// Profiler overhead A/B: the 1-node scaling workload measured with the
-// sampling profiler disarmed and armed at the default 99 Hz. The ledger
-// commits the pair so every revision proves the documented <=2% overhead
-// budget (docs/OBSERVABILITY.md). This rides as a doc-level "profilerAB"
-// object, not a point: ssctl bench-diff matches points by node/shard count
-// and must not treat the deliberately-slower "on" run as a regression.
-Json RunProfilerAB() {
-  std::printf("\n=== Sampling-profiler overhead (1 node, %g Hz) ===\n",
-              Profiler::kDefaultHz);
-  YahooConfig config;
-  config.num_partitions = 8;
-  config.num_events = 60000 * config.num_partitions;
-  config.event_time_span_seconds = 100;
-  MessageBus bus;
-  auto campaigns = GenerateYahooData(&bus, "prof_events", config);
-  SS_CHECK(campaigns.ok()) << campaigns.status().ToString();
-
-  auto measure = [&bus, &campaigns, &config] {
-    SimClusterScheduler::Options cluster;
-    cluster.num_nodes = 1;
-    cluster.cores_per_node = 8;
-    cluster.denoise_outliers = true;
-    SimClusterScheduler scheduler(cluster);
-    bench::StructuredRunStats stats;
-    return bench::RunStructured(&bus, "prof_events", *campaigns,
-                                config.num_partitions, &scheduler,
-                                config.num_events, &stats);
-  };
-
-  auto measure_armed = [&measure] {
-    Profiler::Instance().Arm(Profiler::kDefaultHz);
-    double t = measure();
-    Profiler::Instance().Disarm();
-    return t;
-  };
-
-  // Interleave the arms and alternate which goes first in each pair, so
-  // machine-load drift and any run-position effect (warm caches, frequency
-  // ramp) hit both arms equally; compare best-of like the scaling points do
-  // (max sustainable rate).
-  double off = 0;
-  double on = 0;
-  for (int pair = 0; pair < 8; ++pair) {
-    if (pair % 2 == 0) {
-      off = std::max(off, measure());
-      on = std::max(on, measure_armed());
-    } else {
-      on = std::max(on, measure_armed());
-      off = std::max(off, measure());
-    }
-  }
-  double overhead_pct = off > 0 ? (off - on) / off * 100.0 : 0;
-  std::printf("profiler off: %10.2f M rec/s\n", off / 1e6);
-  std::printf("profiler on:  %10.2f M rec/s   (overhead %.2f%%)\n", on / 1e6,
-              overhead_pct);
-
-  Json ab = Json::Object();
-  ab.Set("hz", Json::Double(Profiler::kDefaultHz));
-  ab.Set("offThroughputRecsPerSec", Json::Double(off));
-  ab.Set("onThroughputRecsPerSec", Json::Double(on));
-  ab.Set("overheadPct", Json::Double(overhead_pct));
-  return ab;
-}
-
 void Run(const char* json_path, bool shards_only) {
   std::printf("build type: %s\n", BuildType());
   Json shard_points = Json::Array();
@@ -255,15 +189,12 @@ void Run(const char* json_path, bool shards_only) {
     points.Append(p);
   }
 
-  Json profiler_ab = RunProfilerAB();
-
   if (json_path != nullptr) {
     Json doc = Json::Object();
     doc.Set("benchmark", Json::Str("yahoo_scaling"));
     doc.Set("figure", Json::Str("6b"));
     doc.Set("buildType", Json::Str(BuildType()));
     doc.Set("runsPerPoint", Json::Int(3));
-    doc.Set("profilerAB", std::move(profiler_ab));
     doc.Set("points", std::move(points));
     std::string text = doc.Dump();
     text += "\n";

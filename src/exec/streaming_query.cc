@@ -11,7 +11,6 @@
 #include "analysis/plan_analyzer.h"
 #include "common/logging.h"
 #include "obs/doctor.h"
-#include "obs/profiler.h"
 #include "optimizer/optimizer.h"
 #include "state/state_store.h"
 #include "storage/fs.h"
@@ -102,15 +101,6 @@ Result<std::unique_ptr<StreamingQuery>> StreamingQuery::Start(
     // An externally supplied scheduler may be shared across queries (and
     // outlive this one); its owner decides whether/where it reports.
     query->owned_scheduler_->set_metrics(query->metrics_.get());
-  }
-  // Profiler attribution label for this query; armed for the query's
-  // lifetime when profile_hz asks for it (disarmed in NotifyTerminated —
-  // also reached via the unique_ptr destructor on any later Start failure).
-  query->profile_query_label_ = Profiler::Instance().Intern(
-      options.query_name.empty() ? "<unnamed-query>" : options.query_name);
-  if (options.profile_hz > 0) {
-    Profiler::Instance().Arm(options.profile_hz);
-    query->profiler_armed_ = true;
   }
   SS_ASSIGN_OR_RETURN(query->plan_,
                       Incrementalize(analyzed, options.num_partitions));
@@ -339,15 +329,6 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   pending_backlog_age_.clear();
   LogContext log_ctx(options_.query_name, plan.epoch);
 
-  // Profiler attribution: everything the trigger thread does this epoch
-  // samples under this query's label; operators and stages refine the word
-  // below (obs/profiler.h). All no-ops while the sampler is disarmed.
-  ProfileQueryScope prof_query(profile_query_label_);
-  static const uint32_t kStageExecute = Profiler::Instance().Intern("execute");
-  static const uint32_t kStageCheckpoint =
-      Profiler::Instance().Intern("checkpoint");
-  static const uint32_t kStageCommit = Profiler::Instance().Intern("commit");
-
   // Recycle per-epoch scratch; the previous epoch's output was materialized
   // before commit, so no selection view can still alias the arena.
   arena_.Reset();
@@ -366,14 +347,11 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   }
 
   int64_t exec_t0 = MonotonicNanos();
-  std::vector<RecordBatchPtr> output;
-  {
-    ProfileStageScope prof_stage(kStageExecute);
-    SS_ASSIGN_OR_RETURN(output, plan_.root->Execute(&ctx));
-    // Forced materialization boundary: the sink sees compact batches, never
-    // selection views (docs/VECTORIZED_EXEC.md).
-    for (RecordBatchPtr& b : output) b = RecordBatch::Materialize(b);
-  }
+  SS_ASSIGN_OR_RETURN(std::vector<RecordBatchPtr> output,
+                      plan_.root->Execute(&ctx));
+  // Forced materialization boundary: the sink sees compact batches, never
+  // selection views (docs/VECTORIZED_EXEC.md).
+  for (RecordBatchPtr& b : output) b = RecordBatch::Materialize(b);
   int64_t exec_total = MonotonicNanos() - exec_t0;
 
   // §6.1 commit protocol: checkpoint state, then commit the sink, then log
@@ -383,14 +361,11 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   // harness drives each of them.
   SS_FAILPOINT("epoch.before_checkpoint");
   int64_t ckpt_t0 = MonotonicNanos();
-  {
-    ProfileStageScope prof_stage(kStageCheckpoint);
-    if (plan_.has_stateful) {
-      const int interval = options_.state_checkpoint_interval;
-      if (interval <= 1 || plan.epoch % interval == 0) {
-        SS_RETURN_IF_ERROR(state_->CommitAll(plan.epoch));
-        last_state_commit_ = plan.epoch;
-      }
+  if (plan_.has_stateful) {
+    const int interval = options_.state_checkpoint_interval;
+    if (interval <= 1 || plan.epoch % interval == 0) {
+      SS_RETURN_IF_ERROR(state_->CommitAll(plan.epoch));
+      last_state_commit_ = plan.epoch;
     }
   }
   int64_t ckpt_end = MonotonicNanos();
@@ -407,11 +382,8 @@ Status StreamingQuery::RunPlannedEpoch(const EpochPlan& plan) {
   // Time Sink::CommitEpoch alone (the sink-bound doctor signal); the
   // broader commit stage below also covers the WAL commit and retention.
   int64_t sink_t0 = MonotonicNanos();
-  {
-    ProfileStageScope prof_stage(kStageCommit);
-    SS_RETURN_IF_ERROR(
-        sink_->CommitEpoch(plan.epoch, sink_mode, num_keys, output));
-  }
+  SS_RETURN_IF_ERROR(
+      sink_->CommitEpoch(plan.epoch, sink_mode, num_keys, output));
   int64_t sink_commit_nanos = MonotonicNanos() - sink_t0;
   // The classic at-least-once window: output delivered, commit not yet
   // logged. Replay re-delivers; the sink's idempotence deduplicates.
@@ -789,10 +761,6 @@ void StreamingQuery::Stop() {
 void StreamingQuery::NotifyTerminated() {
   // Exactly once across Stop(), destruction and epoch failure.
   if (termination_notified_.exchange(true)) return;
-  if (profiler_armed_) {
-    Profiler::Instance().Disarm();
-    profiler_armed_ = false;
-  }
   if (history_ != nullptr) {
     // Post-mortem diagnosis: run the doctor over the progress ring and
     // append its report ahead of the terminated line, so `ssctl doctor`

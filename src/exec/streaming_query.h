@@ -88,11 +88,6 @@ struct QueryOptions {
 
   /// Name used in progress events, metric log lines and log prefixes.
   std::string query_name;
-  /// When > 0, arms the process-wide sampling profiler (obs/profiler.h) for
-  /// this query's lifetime at the given rate (Hz, clamped to [1, 1000]).
-  /// Profiles are readable any time via GET /profile?seconds=N. 0 (default)
-  /// leaves the profiler to on-demand HTTP arming only.
-  double profile_hz = 0;
   /// Metrics registry to record into; the query creates a private one when
   /// unset. Pass a shared registry to aggregate several queries.
   std::shared_ptr<MetricsRegistry> metrics;
@@ -267,10 +262,6 @@ class StreamingQuery {
   std::function<void(const QueryProgress&)> progress_callback_;
   std::function<void(const Status&, int64_t)> termination_callback_;
   std::atomic<bool> termination_notified_{false};
-  // Interned profiler label for this query's name (0 until Start), and
-  // whether Start armed the sampler (so termination disarms exactly once).
-  uint32_t profile_query_label_ = 0;
-  bool profiler_armed_ = false;
   // Stage-timing state handed from ProcessOneTrigger to RunPlannedEpoch
   // (zero during recovery replay, which skips the planning stage).
   int64_t pending_epoch_start_nanos_ = 0;

@@ -7,7 +7,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -18,7 +17,6 @@
 #include "obs/doctor.h"
 #include "obs/metrics.h"
 #include "obs/process_stats.h"
-#include "obs/profiler.h"
 #include "obs/query_history.h"
 #include "obs/tracer.h"
 
@@ -88,26 +86,6 @@ HttpResponse JsonError(int status, const std::string& message) {
   HttpResponse resp = JsonResponse(obj);
   resp.status = status;
   return resp;
-}
-
-/// Pulls an integer parameter out of a raw query string ("seconds=3&hz=50").
-/// Returns `fallback` when the key is absent or non-numeric.
-int64_t QueryParamInt(const std::string& query_string, const std::string& key,
-                      int64_t fallback) {
-  size_t pos = 0;
-  while (pos < query_string.size()) {
-    size_t amp = query_string.find('&', pos);
-    std::string pair = query_string.substr(
-        pos, (amp == std::string::npos ? query_string.size() : amp) - pos);
-    pos = amp == std::string::npos ? query_string.size() : amp + 1;
-    size_t eq = pair.find('=');
-    if (eq == std::string::npos || pair.substr(0, eq) != key) continue;
-    char* end = nullptr;
-    long long v = std::strtoll(pair.c_str() + eq + 1, &end, 10);
-    if (end == pair.c_str() + eq + 1) return fallback;
-    return v;
-  }
-  return fallback;
 }
 
 void SetSocketTimeouts(int fd, int timeout_ms) {
@@ -209,9 +187,7 @@ void HttpServer::HandleConnection(int fd) {
   HttpRequest req;
   req.method = line.substr(0, sp1);
   std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  size_t q = target.find('?');
-  req.path = q == std::string::npos ? target : target.substr(0, q);
-  if (q != std::string::npos) req.query = target.substr(q + 1);
+  req.path = target.substr(0, target.find('?'));  // query string ignored
   WriteResponse(fd, handler_ ? handler_(req)
                              : TextResponse(404, "no handler mounted\n"));
 }
@@ -290,7 +266,6 @@ HttpResponse ObservabilityServer::Handle(const HttpRequest& req) const {
   }
   if (req.path == "/healthz") return TextResponse(200, "ok\n");
   if (req.path == "/metrics") return HandleMetrics();
-  if (req.path == "/profile") return HandleProfile(req.query);
   if (req.path == "/queries" || req.path == "/queries/") {
     return HandleQueries();
   }
@@ -321,8 +296,7 @@ HttpResponse ObservabilityServer::Handle(const HttpRequest& req) const {
         "  /queries/<id>/fingerprint canonical plan fingerprint (JSON)\n"
         "  /queries/<id>/trace   Chrome trace JSON\n"
         "  /queries/<id>/history durable event log (JSON)\n"
-        "  /queries/<id>/doctor  ranked bottleneck verdicts (JSON)\n"
-        "  /profile?seconds=N    sampling profile over N seconds (JSON)\n");
+        "  /queries/<id>/doctor  ranked bottleneck verdicts (JSON)\n");
   }
   return JsonError(404, "no route for '" + req.path + "'");
 }
@@ -473,22 +447,6 @@ HttpResponse ObservabilityServer::HandleDoctor(const std::string& name) const {
   });
   if (!found) return JsonError(404, "no query '" + name + "'");
   return JsonResponse(Diagnose(input).ToJson());
-}
-
-HttpResponse ObservabilityServer::HandleProfile(
-    const std::string& query_string) const {
-  // Blocking by design: the profiler is armed for the requested window and
-  // the delta profile is returned. Requests serialize on the accept thread,
-  // so concurrent scrapers queue rather than fight over arming (the
-  // refcounted Arm also makes overlap from other threads safe). The window
-  // is clamped so a stray request cannot occupy the server for minutes.
-  int64_t seconds = QueryParamInt(query_string, "seconds", 1);
-  seconds = std::max<int64_t>(1, std::min<int64_t>(30, seconds));
-  int64_t hz = QueryParamInt(
-      query_string, "hz", static_cast<int64_t>(Profiler::kDefaultHz));
-  ProfileSnapshot snap =
-      Profiler::Instance().Collect(seconds * 1000, static_cast<double>(hz));
-  return JsonResponse(snap.ToJson());
 }
 
 Result<HttpResponse> HttpGet(int port, const std::string& path,

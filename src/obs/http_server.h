@@ -24,7 +24,6 @@ class StreamingQuery;
 struct HttpRequest {
   std::string method;  // "GET"
   std::string path;    // "/queries/etl/plan" (query string stripped)
-  std::string query;   // raw text after '?', empty if none
 };
 
 struct HttpResponse {
@@ -90,9 +89,6 @@ class HttpServer {
 ///   GET /queries/<id>/trace   Chrome trace_event JSON for chrome://tracing
 ///   GET /queries/<id>/doctor  ranked bottleneck verdicts over the recent
 ///                             progress window (obs/doctor.h)
-///   GET /profile?seconds=N&hz=H  arm the sampling profiler for N seconds
-///                             (blocking; see obs/profiler.h) and return
-///                             the collected per-(query, op) profile
 ///
 /// Handlers use only the queries' thread-safe snapshot accessors, and
 /// manager-owned queries are resolved under the manager lock
@@ -140,7 +136,6 @@ class ObservabilityServer {
   HttpResponse HandleTrace(const std::string& name) const;
   HttpResponse HandleHistory(const std::string& name) const;
   HttpResponse HandleDoctor(const std::string& name) const;
-  HttpResponse HandleProfile(const std::string& query_string) const;
 
   mutable std::mutex mu_;
   QueryManager* manager_ SS_GUARDED_BY(mu_) = nullptr;

@@ -7,7 +7,6 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/tracer.h"
 #include "storage/fs.h"
 
@@ -227,15 +226,6 @@ Status ExecContext::RunStage(int op_id, const std::string& stage_name,
 }
 
 Result<std::vector<RecordBatchPtr>> PhysOp::Execute(ExecContext* ctx) {
-  uint32_t op_label = 0;
-  if (Profiler::active()) {
-    op_label = profile_label_.load(std::memory_order_relaxed);
-    if (op_label == 0) {
-      op_label = Profiler::Instance().Intern(name());
-      profile_label_.store(op_label, std::memory_order_relaxed);
-    }
-  }
-  ProfileOpScope prof(op_label, op_id_);
   int64_t t0 = MonotonicNanos();
   Result<std::vector<RecordBatchPtr>> result = ExecuteImpl(ctx);
   int64_t dt = MonotonicNanos() - t0;

@@ -1,7 +1,6 @@
 #ifndef SSTREAMING_PHYSICAL_PHYS_OP_H_
 #define SSTREAMING_PHYSICAL_PHYS_OP_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -262,11 +261,6 @@ class PhysOp {
   int op_id_;
   SchemaPtr schema_;
   std::vector<std::shared_ptr<PhysOp>> children_;
-
- private:
-  /// Interned profiler label for name(), filled lazily on the first
-  /// Execute with the profiler armed (0 = not yet interned).
-  mutable std::atomic<uint32_t> profile_label_{0};
 };
 
 using PhysOpPtr = std::shared_ptr<PhysOp>;

@@ -6,7 +6,6 @@
 
 #include "common/clock.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "testing/failpoints.h"
 
 namespace sstreaming {
@@ -72,12 +71,11 @@ Status MaybeInjectTaskFailure() {
 
 }  // namespace
 
-Status InlineScheduler::RunStage(const std::string& stage_name,
+Status InlineScheduler::RunStage(const std::string& /*stage_name*/,
                                  std::vector<std::function<Status()>> tasks,
                                  StageWait* wait) {
   StageMetrics m(metrics_);
   StageWait w;
-  const uint64_t prof_word = Profiler::Instance().TaskWord(stage_name);
   int64_t stage_t0 = MonotonicNanos();
   if (m.enabled()) {
     m.queue_depth->Set(static_cast<int64_t>(tasks.size()));
@@ -86,12 +84,8 @@ Status InlineScheduler::RunStage(const std::string& stage_name,
     // Serial execution: every task was "submitted" at stage start, so task
     // i's queue wait is the time tasks 0..i-1 spent running before it.
     int64_t t0 = MonotonicNanos();
-    Status s;
-    {
-      ProfileTaskScope prof(prof_word);
-      s = MaybeInjectTaskFailure();
-      if (s.ok()) s = task();
-    }
+    Status s = MaybeInjectTaskFailure();
+    if (s.ok()) s = task();
     int64_t t1 = MonotonicNanos();
     AddTask(&w, t0 - stage_t0, t1 - t0);
     if (m.enabled()) {
@@ -113,29 +107,23 @@ Status InlineScheduler::RunStage(const std::string& stage_name,
 
 PoolScheduler::PoolScheduler(int num_threads) : pool_(num_threads) {}
 
-Status PoolScheduler::RunStage(const std::string& stage_name,
+Status PoolScheduler::RunStage(const std::string& /*stage_name*/,
                                std::vector<std::function<Status()>> tasks,
                                StageWait* wait) {
   std::mutex mu;
   Status first_error;  // guarded by mu (locals cannot carry SS_GUARDED_BY)
   StageWait w;         // guarded by mu
   StageMetrics m(metrics_);
-  const uint64_t prof_word = Profiler::Instance().TaskWord(stage_name);
   int64_t stage_t0 = MonotonicNanos();
   if (m.enabled()) {
     m.queue_depth->Set(static_cast<int64_t>(tasks.size()));
   }
   for (auto& task : tasks) {
     int64_t submit_t = MonotonicNanos();
-    pool_.Submit([&mu, &first_error, &w, m, submit_t, prof_word,
-                  task = std::move(task)] {
+    pool_.Submit([&mu, &first_error, &w, m, submit_t, task = std::move(task)] {
       int64_t t0 = MonotonicNanos();
-      Status s;
-      {
-        ProfileTaskScope prof(prof_word);
-        s = MaybeInjectTaskFailure();
-        if (s.ok()) s = task();
-      }
+      Status s = MaybeInjectTaskFailure();
+      if (s.ok()) s = task();
       int64_t t1 = MonotonicNanos();
       if (m.enabled()) {
         m.task_nanos->Record(t1 - t0);
@@ -175,7 +163,6 @@ Status SimClusterScheduler::RunStage(
     std::vector<std::function<Status()>> tasks, StageWait* wait) {
   const int cores = parallelism();
   StageMetrics m(metrics_);
-  const uint64_t prof_word = Profiler::Instance().TaskWord(stage_name);
   // Tasks run for real (serially, on this machine) so their outputs are
   // exact; only their measured durations are placed on the simulated
   // timeline, by earliest-available-core list scheduling.
@@ -184,12 +171,8 @@ Status SimClusterScheduler::RunStage(
   for (auto& task : tasks) {
     pending_charge_ = 0;
     int64_t t0 = MonotonicNanos();
-    Status s;
-    {
-      ProfileTaskScope prof(prof_word);
-      s = MaybeInjectTaskFailure();
-      if (s.ok()) s = task();
-    }
+    Status s = MaybeInjectTaskFailure();
+    if (s.ok()) s = task();
     SS_RETURN_IF_ERROR(s);
     int64_t measured = options_.fixed_task_duration_nanos > 0
                            ? options_.fixed_task_duration_nanos

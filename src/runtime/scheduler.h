@@ -51,9 +51,6 @@ class TaskScheduler {
 
   /// Runs all tasks to completion; fails if any task fails. When `wait` is
   /// non-null it receives the stage's queue/run accounting (see StageWait).
-  /// Tasks inherit the submitting thread's profiler attribution word with
-  /// the stage field set to `stage_name` (obs/profiler.h) — a no-op unless
-  /// the profiler is armed.
   virtual Status RunStage(const std::string& stage_name,
                           std::vector<std::function<Status()>> tasks,
                           StageWait* wait) = 0;

@@ -112,13 +112,13 @@ TEST(DoctorTest, SlowSinkYieldsSinkBound) {
   // The HTTP route serves the same diagnosis, and unknown queries 404.
   ObservabilityServer server;
   server.MountQuery("sinkbound", query->get());
-  HttpResponse resp = server.Handle({"GET", "/queries/sinkbound/doctor", ""});
+  HttpResponse resp = server.Handle({"GET", "/queries/sinkbound/doctor"});
   EXPECT_EQ(resp.status, 200);
   auto body = Json::Parse(resp.body);
   ASSERT_TRUE(body.ok()) << body.status().ToString();
   EXPECT_EQ(body->Get("topVerdict").string_value(), "sink-bound");
   EXPECT_GE(body->Get("findings").array_items().size(), 1u);
-  EXPECT_EQ(server.Handle({"GET", "/queries/nope/doctor", ""}).status, 404);
+  EXPECT_EQ(server.Handle({"GET", "/queries/nope/doctor"}).status, 404);
 
   (*query)->Stop();
   ExpectOfflineParity(dir, "sink-bound");

@@ -93,6 +93,12 @@ TEST(HttpServerTest, HealthzAndIndexAndErrors) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->status, 200);
   EXPECT_NE(index->body.find("/metrics"), std::string::npos);
+  EXPECT_EQ(index->body.find("profile"), std::string::npos);
+
+  // The query string is split off before routing.
+  auto metrics = HttpGet(port, "/metrics?foo=1");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(metrics->status, 200);
 
   auto missing = HttpGet(port, "/no/such/route");
   ASSERT_TRUE(missing.ok());
@@ -100,6 +106,11 @@ TEST(HttpServerTest, HealthzAndIndexAndErrors) {
   auto parsed = Json::Parse(missing->body);
   ASSERT_TRUE(parsed.ok()) << "errors must be JSON: " << missing->body;
   EXPECT_TRUE(parsed->Get("error").is_string());
+
+  // There is no sampling-profile route: /profile is an unknown path.
+  auto profile = HttpGet(port, "/profile?seconds=1");
+  ASSERT_TRUE(profile.ok());
+  EXPECT_EQ(profile->status, 404);
 
   auto no_query = HttpGet(port, "/queries/ghost/plan");
   ASSERT_TRUE(no_query.ok());

@@ -189,7 +189,7 @@ TEST(QueryHistoryTest, QueryLifecycleLandsInHistoryAcrossRestart) {
   // The live endpoint serves the same events.
   ObservabilityServer server;
   server.MountQuery("clicks", query->get());
-  HttpResponse resp = server.Handle({"GET", "/queries/clicks/history", ""});
+  HttpResponse resp = server.Handle({"GET", "/queries/clicks/history"});
   EXPECT_EQ(resp.status, 200);
   auto body = Json::Parse(resp.body);
   ASSERT_TRUE(body.ok()) << body.status().ToString();
@@ -209,7 +209,7 @@ TEST(QueryHistoryTest, EphemeralQueryHistoryIs404) {
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   ObservabilityServer server;
   server.MountQuery("clicks", query->get());
-  HttpResponse resp = server.Handle({"GET", "/queries/clicks/history", ""});
+  HttpResponse resp = server.Handle({"GET", "/queries/clicks/history"});
   EXPECT_EQ(resp.status, 404);
 }
 

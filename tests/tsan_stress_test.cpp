@@ -1,8 +1,10 @@
 // TSan stress certification for sharded state under real parallelism: an
 // 8-shard windowed aggregation runs its shard tasks on a 4-thread
-// PoolScheduler while scraper threads hammer /metrics and the EXPLAIN
-// ANALYZE plan endpoint (both of which read the per-shard state accounting
-// concurrently with the epoch loop that writes it). Built and run in the
+// PoolScheduler while scraper threads hammer /metrics and the per-query
+// progress, plan, doctor and trace endpoints. /metrics and the EXPLAIN
+// ANALYZE plan read the per-shard state accounting, progress and doctor
+// read the progress ring, and trace reads the EpochTracer, all
+// concurrently with the epoch loop that writes them. Built and run in the
 // thread-sanitizer leg of the verify recipe (ctest -L tsan-stress); any
 // cross-thread access to shard state without synchronization fails the
 // whole binary.
@@ -45,7 +47,7 @@ TEST(TsanStressTest, ShardedAggUnderPoolSchedulerAndConcurrentScrapes) {
   QueryOptions opts;
   opts.mode = OutputMode::kUpdate;
   // One partition per pool thread: four concurrent partition folds, each
-  // over 8 shards, race the /metrics and /plan scrapers below.
+  // over 8 shards, race the HTTP scrapers below.
   opts.num_partitions = 4;
   opts.num_state_shards = 8;
   opts.scheduler = &pool;
@@ -63,12 +65,12 @@ TEST(TsanStressTest, ShardedAggUnderPoolSchedulerAndConcurrentScrapes) {
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
   std::vector<std::thread> scrapers;
-  const char* paths[] = {"/metrics", "/queries/stress/plan", "/metrics",
-                         "/queries/stress/plan"};
-  for (int t = 0; t < 4; ++t) {
-    scrapers.emplace_back([&, t] {
+  for (const char* path :
+       {"/metrics", "/queries/stress/plan", "/queries/stress",
+        "/queries/stress/doctor", "/queries/stress/trace"}) {
+    scrapers.emplace_back([&, path] {
       while (!done.load()) {
-        auto resp = HttpGet(port, paths[t]);
+        auto resp = HttpGet(port, path);
         if (!resp.ok() || resp->status != 200) failures.fetch_add(1);
       }
     });
