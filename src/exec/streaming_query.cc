@@ -769,7 +769,6 @@ void StreamingQuery::NotifyTerminated() {
     input.query_name = options_.query_name;
     input.window = GetProgressSnapshot();
     input.scheduler_parallelism = scheduler_parallelism();
-    input.num_state_shards = options_.num_state_shards;
     if (!input.window.empty()) {
       (void)history_->AppendDoctor(options_.query_name,
                                    Diagnose(input).ToJson());

@@ -176,10 +176,9 @@ class StreamingQuery {
     return options_.checkpoint_dir;
   }
 
-  /// Doctor inputs (obs/doctor.h): the scheduler's worker parallelism and
-  /// the configured keyed-state shard count. Immutable after Start.
+  /// Doctor input (obs/doctor.h): the scheduler's worker parallelism.
+  /// Immutable after Start.
   int scheduler_parallelism() const { return scheduler_->parallelism(); }
-  int num_state_shards() const { return options_.num_state_shards; }
 
   /// The durable history log (null for ephemeral queries). Sticky append
   /// errors surface via history()->status(); they never fail epochs.

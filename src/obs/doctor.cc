@@ -133,7 +133,7 @@ void CheckSchedulerSaturated(const std::vector<const QueryProgress*>& win,
 }
 
 void CheckShardSkew(const std::vector<const QueryProgress*>& win,
-                    int num_state_shards, std::vector<DoctorFinding>* out) {
+                    std::vector<DoctorFinding>* out) {
   // Skew is a property of the live state layout, so only the newest epoch's
   // shard breakdown matters.
   const QueryProgress& last = *win.back();
@@ -173,13 +173,13 @@ void CheckShardSkew(const std::vector<const QueryProgress*>& win,
                   static_cast<long long>(worst_max_rows),
                   static_cast<long long>(worst_total), shards,
                   worst_imbalance);
-  f.suggestion =
-      num_state_shards > 0
-          ? Fmt("grouping keys hash unevenly: raise num_state_shards "
-                "(currently %d) or pre-aggregate the hot key upstream",
-                num_state_shards)
-          : "grouping keys hash unevenly: raise num_state_shards or "
-            "pre-aggregate the hot key upstream";
+  // Shards are not the unit of fold parallelism, and an existing
+  // checkpoint pins its shard count (SS3004), so the remedy is the key.
+  f.suggestion = Fmt(
+      "grouping keys hash unevenly: pre-aggregate or salt the hot key "
+      "upstream; a different shard count (currently %zu) needs a fresh "
+      "checkpoint (SS3004)",
+      shards);
   f.evidence.Set("opId", Json::Int(worst_op->op_id));
   f.evidence.Set("operator", Json::Str(worst_op->name));
   f.evidence.Set("shards", Json::Int(static_cast<int64_t>(shards)));
@@ -301,7 +301,7 @@ DoctorReport Diagnose(const DoctorInput& input) {
   CheckSinkBound(win, &report.findings);
   CheckSourceStarved(win, &report.findings);
   CheckSchedulerSaturated(win, input.scheduler_parallelism, &report.findings);
-  CheckShardSkew(win, input.num_state_shards, &report.findings);
+  CheckShardSkew(win, &report.findings);
   CheckWatermarkLagging(win, &report.findings);
   CheckStateGrowth(win, &report.findings);
   std::stable_sort(report.findings.begin(), report.findings.end(),

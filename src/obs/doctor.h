@@ -24,7 +24,7 @@ struct DoctorFinding {
   /// One sentence with the numbers ("sink commit is 82% of processing
   /// time").
   std::string summary;
-  /// A concrete action ("raise num_state_shards", "widen the trigger
+  /// A concrete action ("salt the hot key", "widen the trigger
   /// interval", ...).
   std::string suggestion;
   /// The numeric inputs the rule fired on (verdict-specific keys).
@@ -67,8 +67,6 @@ struct DoctorInput {
   std::vector<QueryProgress> window;
   /// Scheduler parallelism, for the saturation suggestion (0 = unknown).
   int scheduler_parallelism = 0;
-  /// Configured shard count, for the skew suggestion (0 = unknown).
-  int num_state_shards = 0;
 };
 
 /// Runs every rule over `input` and returns the ranked report.

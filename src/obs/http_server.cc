@@ -443,7 +443,6 @@ HttpResponse ObservabilityServer::HandleDoctor(const std::string& name) const {
     input.query_name = name;
     input.window = query.GetProgressSnapshot();
     input.scheduler_parallelism = query.scheduler_parallelism();
-    input.num_state_shards = query.num_state_shards();
   });
   if (!found) return JsonError(404, "no query '" + name + "'");
   return JsonResponse(Diagnose(input).ToJson());

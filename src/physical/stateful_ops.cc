@@ -53,19 +53,14 @@ bool GetFixed64(const std::string& data, size_t* pos, uint64_t* v) {
 // ---------------------------------------------------------------------------
 // Shard routing (docs/STATE_SHARDING.md)
 //
-// A row's state key lives in shard StableHashKey(key) % num_shards. The
-// stateful aggregate runs two scheduler stages per epoch:
-//   [eval]  per partition: vectorized evaluation of key/argument columns;
-//   <name>  per partition: one pass routing each row's key to its shard's
-//           changed map, then flush, evict and emit shard by shard.
-// Dedup and the stream-stream join run two others:
-//   [split] per (partition, chunk): encode each row's state key and route it
-//           to a shard bucket;
-//   <name>  per (partition, shard): probe the bucketed rows against that
-//           shard's state and emit output rows.
-// Every path visits a shard's rows in input order, so everything an
-// operator emits is a deterministic function of the input regardless of
-// shard count; shard outputs are merged in shard-index order.
+// A row's state key lives in shard StableHashKey(key) % num_shards. Every
+// keyed operator runs one task per partition that makes a single pass over
+// each input, routing each row's key to its shard's StateStore, then works
+// through the shards in index order (flush, evict, emit). The aggregate
+// evaluates its key and argument columns in an [eval] stage first. Each
+// shard sees its rows in input order, so everything an operator emits is a
+// deterministic function of the input regardless of shard count; per-shard
+// outputs are merged in shard-index order.
 // ---------------------------------------------------------------------------
 
 /// Concatenates one partition's per-shard output rows in shard-index order
@@ -83,37 +78,8 @@ Result<RecordBatchPtr> MergeShardRows(
   return RecordBatch::FromRows(schema, merged);
 }
 
-/// One (chunk, shard) bucket of pre-routed rows: parallel vectors of the
-/// row's index in the partition batch, an operator-specific auxiliary value,
-/// and the row's encoded state key (concatenated, delimited by key_len).
-struct KeyedEntries {
-  std::vector<int32_t> rows;
-  std::vector<int64_t> aux;
-  std::vector<uint32_t> key_len;
-  std::string keys;
-
-  void Add(int64_t row, int64_t aux_value, const std::string& key) {
-    rows.push_back(static_cast<int32_t>(row));
-    aux.push_back(aux_value);
-    key_len.push_back(static_cast<uint32_t>(key.size()));
-    keys.append(key);
-  }
-};
-
-/// Calls fn(row_index, aux, key_view) for each bucketed entry, in order.
-template <typename Fn>
-Status ForEachEntry(const KeyedEntries& e, Fn&& fn) {
-  size_t off = 0;
-  for (size_t j = 0; j < e.rows.size(); ++j) {
-    std::string_view key(e.keys.data() + off, e.key_len[j]);
-    off += e.key_len[j];
-    SS_RETURN_IF_ERROR(fn(e.rows[j], e.aux[j], key));
-  }
-  return Status::OK();
-}
-
 /// Heterogeneous-lookup hash so fold loops can probe string-keyed maps with
-/// string_views into the bucket's key arena (no per-probe allocation).
+/// a string_view of the row's encoded key (no per-probe allocation).
 struct TransparentStringHash {
   using is_transparent = void;
   size_t operator()(std::string_view s) const noexcept {
@@ -123,54 +89,6 @@ struct TransparentStringHash {
     return std::hash<std::string_view>{}(s);
   }
 };
-
-/// Split-stage chunk count: enough chunks to split big partitions in
-/// parallel without paying per-task overhead on small ones.
-int SplitChunks(int64_t rows, int num_shards) {
-  return rows >= 4096 ? num_shards : 1;
-}
-
-int ShardOfKey(const std::string& key, int num_shards) {
-  return static_cast<int>(ShardedStateStore::StableHashKey(key) %
-                          static_cast<uint64_t>(num_shards));
-}
-
-/// Packs fine-grained (partition, shard) tasks into at most `max_tasks`
-/// scheduler tasks, round-robin. Sharding multiplies the stateful stages'
-/// task count by the shard count; when partition parallelism alone already
-/// covers the scheduler's cores, the extra tasks buy no parallelism and
-/// only pay per-task launch overhead. Grouping is purely a scheduling
-/// change: each inner task still owns its shard and output slot, so results
-/// are byte-identical to the unpacked run.
-std::vector<std::function<Status()>> CoalesceTasks(
-    std::vector<std::function<Status()>> tasks, int max_tasks) {
-  if (max_tasks <= 0 || tasks.size() <= static_cast<size_t>(max_tasks)) {
-    return tasks;
-  }
-  std::vector<std::vector<std::function<Status()>>> groups(
-      static_cast<size_t>(max_tasks));
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    groups[i % static_cast<size_t>(max_tasks)].push_back(
-        std::move(tasks[i]));
-  }
-  std::vector<std::function<Status()>> out;
-  out.reserve(groups.size());
-  for (auto& group : groups) {
-    out.push_back([group = std::move(group)]() -> Status {
-      for (const auto& task : group) SS_RETURN_IF_ERROR(task());
-      return Status::OK();
-    });
-  }
-  return out;
-}
-
-/// Task cap for a sharded stage over `num_partitions` partitions: never
-/// fewer tasks than the unsharded operator had, never more than can run at
-/// once.
-int ShardStageTaskCap(ExecContext* ctx, size_t num_partitions) {
-  return std::max(ctx->scheduler->parallelism(),
-                  static_cast<int>(num_partitions));
-}
 
 }  // namespace
 
@@ -399,7 +317,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // whose handle the flush writes back through.
   auto fold_row = [this](std::string_view enc, const Row& args,
                          ChangedMap* changed,
-                         StateShardProtocol* shard) -> Status {
+                         StateStore* shard) -> Status {
     auto it = changed->find(enc);
     if (it == changed->end()) {
       Touched touched;
@@ -421,7 +339,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
   // would move entries), then emit per output mode (batch/complete:
   // everything; append: finals of windows closed by the watermark; update:
   // changed minus evicted), evicting closed windows along the way.
-  auto apply_shard = [&](StateShardProtocol* shard, const ChangedMap& changed,
+  auto apply_shard = [&](StateStore* shard, const ChangedMap& changed,
                          std::vector<Row>& out_rows) -> Status {
     std::string buf;
     for (const auto& [enc, touched] : changed) {
@@ -533,7 +451,7 @@ Result<std::vector<RecordBatchPtr>> StatefulAggExec::ExecuteImpl(
         load_args(w, i, &args);
         for (int64_t wstart : window_starts) {
           encode_key(w, i, wstart, &enc);
-          const int s = ShardOfKey(enc, S);
+          const int s = stores[p]->ShardOf(enc);
           SS_RETURN_IF_ERROR(fold_row(enc, args,
                                       &changed[static_cast<size_t>(s)],
                                       stores[p]->shard(s)));
@@ -578,82 +496,33 @@ Result<std::vector<RecordBatchPtr>> DedupExec::ExecuteImpl(ExecContext* ctx) {
                         ctx->state->GetStore(op_id_, static_cast<int>(p)));
   }
 
-  struct PartitionWork {
-    int chunks = 1;
-    std::vector<KeyedEntries> buckets;  // chunks x shards
-    std::vector<uint8_t> mask;
-  };
-  std::vector<PartitionWork> work(P);
-
-  // Split: encode each row (the dedup key is the whole row) and route it to
-  // a shard bucket.
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      const int64_t n = in[p]->num_rows();
-      work[p].chunks = SplitChunks(n, S);
-      work[p].buckets.resize(static_cast<size_t>(work[p].chunks) *
-                             static_cast<size_t>(S));
-      work[p].mask.assign(static_cast<size_t>(n), 0);
-      const int C = work[p].chunks;
-      const int64_t per = (n + C - 1) / C;
-      for (int c = 0; c < C; ++c) {
-        const int64_t lo = c * per;
-        const int64_t hi = std::min(n, lo + per);
-        tasks.push_back([&in, &work, p, c, lo, hi, S]() -> Status {
-          KeyedEntries* buckets =
-              &work[p].buckets[static_cast<size_t>(c) *
-                               static_cast<size_t>(S)];
-          std::string enc;
-          for (int64_t i = lo; i < hi; ++i) {
-            enc.clear();
-            EncodeRow(in[p]->RowAt(i), &enc);
-            buckets[ShardOfKey(enc, S)].Add(i, 0, enc);
-          }
-          return Status::OK();
-        });
-      }
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name() + "[split]",
-        CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
-
-  // Probe: each shard task marks its first-seen rows in the partition's
-  // shared mask. Writes land on disjoint bytes (a row routes to exactly one
-  // shard), and the mask preserves input order, so the output is
+  // One task per partition marks its first-seen rows (the dedup key is the
+  // whole row); the mask preserves input order, so the output is
   // byte-identical whatever the shard count.
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      for (int s = 0; s < S; ++s) {
-        tasks.push_back([&work, &stores, p, s, S]() -> Status {
-          StateShardProtocol* shard = stores[p]->shard(s);
-          PartitionWork& w = work[p];
-          for (int c = 0; c < w.chunks; ++c) {
-            SS_RETURN_IF_ERROR(ForEachEntry(
-                w.buckets[static_cast<size_t>(c) * static_cast<size_t>(S) +
-                          static_cast<size_t>(s)],
-                [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                  // A created entry is the seen-marker itself (empty value).
-                  if (shard->Touch(enc).created) {
-                    w.mask[static_cast<size_t>(i)] = 1;
-                  }
-                  return Status::OK();
-                }));
-          }
-          return Status::OK();
-        });
+  std::vector<std::vector<uint8_t>> masks(P);
+  std::vector<std::function<Status()>> tasks;
+  for (size_t p = 0; p < P; ++p) {
+    tasks.push_back([&in, &masks, &stores, p]() -> Status {
+      const int64_t n = in[p]->num_rows();
+      ShardedStateStore* store = stores[p];
+      std::vector<uint8_t>& mask = masks[p];
+      mask.assign(static_cast<size_t>(n), 0);
+      std::string enc;
+      for (int64_t i = 0; i < n; ++i) {
+        enc.clear();
+        EncodeRow(in[p]->RowAt(i), &enc);
+        // A created entry is the seen-marker itself (empty value).
+        if (store->shard(store->ShardOf(enc))->Touch(enc).created) {
+          mask[static_cast<size_t>(i)] = 1;
+        }
       }
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name(), CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
+      return Status::OK();
+    });
   }
+  SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
 
   std::vector<RecordBatchPtr> out(P);
-  for (size_t p = 0; p < P; ++p) out[p] = in[p]->Filter(work[p].mask);
+  for (size_t p = 0; p < P; ++p) out[p] = in[p]->Filter(masks[p]);
   return out;
 }
 
@@ -913,226 +782,173 @@ Result<std::vector<RecordBatchPtr>> StreamStreamJoinExec::ExecuteImpl(
                         ctx->state->GetStore(op_id_, static_cast<int>(p)));
   }
 
-  struct PartitionWork {
-    // Per-shard buckets for each side. The shard is chosen by the hash of
-    // the join key *without* the 'L'/'R' side byte, so both sides of a key
-    // land in the same shard (the join needs them together); store keys
-    // keep the side prefix within the shard.
-    std::vector<KeyedEntries> left_buckets;
-    std::vector<KeyedEntries> right_buckets;
-    std::vector<std::vector<Row>> shard_rows;
+  // Working cache of one shard's decoded side-state. Tracks how many rows
+  // were already stored (`base_n`) and whether stored rows changed
+  // (`dirty`), so the flush can append just the new suffix for grow-only
+  // keys instead of rewriting the value.
+  struct CacheEntry {
+    std::vector<std::pair<bool, Row>> rows;
+    size_t base_n = 0;
+    bool dirty = false;
   };
-  std::vector<PartitionWork> work(P);
+  using SideCache = std::unordered_map<std::string, CacheEntry>;
 
-  // Split stage: evaluate join keys (vectorized) and route each side's rows
-  // to shard buckets. One task per (partition, side).
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
-      work[p].left_buckets.resize(static_cast<size_t>(S));
-      work[p].right_buckets.resize(static_cast<size_t>(S));
-      work[p].shard_rows.resize(static_cast<size_t>(S));
+  // Watermark-driven eviction: rows whose event time has fallen below the
+  // watermark can no longer match. Unmatched rows on a preserved outer side
+  // are emitted null-padded exactly once.
+  const int64_t watermark = ctx->watermark_micros;
+  const bool evicting = watermark != INT64_MIN &&
+                        (left_time_index_ >= 0 || right_time_index_ >= 0);
+
+  // One task per partition. The shard is chosen by the hash of the join key
+  // *without* the 'L'/'R' side byte, so both sides of a key land in the
+  // same shard (the join needs them together); store keys keep the side
+  // prefix within the shard. Each shard keeps its own cache and output
+  // slot, and sees its rows in input order — so the joined multiset per
+  // shard is shard-count-invariant.
+  std::vector<std::vector<std::vector<Row>>> shard_rows(P);
+  std::vector<std::function<Status()>> tasks;
+  for (size_t p = 0; p < P; ++p) {
+    tasks.push_back([this, ctx, &left_in, &right_in, &stores, &shard_rows,
+                     watermark, evicting, p]() -> Status {
+      ShardedStateStore* store = stores[p];
+      const int S = store->num_shards();
+      std::vector<SideCache> caches(static_cast<size_t>(S));
+      std::vector<std::vector<Row>>& out = shard_rows[p];
+      out.resize(static_cast<size_t>(S));
+
+      auto load = [&](int s, const std::string& store_key)
+          -> Result<CacheEntry*> {
+        SideCache& cache = caches[static_cast<size_t>(s)];
+        auto it = cache.find(store_key);
+        if (it == cache.end()) {
+          CacheEntry entry;
+          std::optional<std::string> stored = store->shard(s)->Get(store_key);
+          if (stored.has_value()) {
+            SS_ASSIGN_OR_RETURN(entry.rows, DecodeSideRows(*stored));
+            entry.base_n = entry.rows.size();
+          }
+          it = cache.emplace(store_key, std::move(entry)).first;
+        }
+        return &it->second;
+      };
+
+      // The symmetric-hash passes. Pass 1 probes new left rows against the
+      // stored right side (prior epochs), appending them to left state;
+      // pass 2 probes new right rows against left state, which now includes
+      // this epoch's left rows, covering intra-epoch matches exactly once.
       for (int side = 0; side < 2; ++side) {
-        tasks.push_back([this, &left_in, &right_in, &work, p, side,
-                         S]() -> Status {
-          const RecordBatch& input =
-              side == 0 ? *left_in[p] : *right_in[p];
-          const std::vector<ExprPtr>& keys =
-              side == 0 ? left_keys_ : right_keys_;
-          std::vector<KeyedEntries>& buckets =
-              side == 0 ? work[p].left_buckets : work[p].right_buckets;
-          std::vector<ColumnPtr> key_cols(keys.size());
-          for (size_t k = 0; k < keys.size(); ++k) {
-            SS_ASSIGN_OR_RETURN(key_cols[k], keys[k]->EvalBatch(input));
+        const bool is_left = side == 0;
+        const RecordBatch& input = is_left ? *left_in[p] : *right_in[p];
+        const std::vector<ExprPtr>& keys = is_left ? left_keys_ : right_keys_;
+        std::vector<ColumnPtr> key_cols(keys.size());
+        for (size_t k = 0; k < keys.size(); ++k) {
+          SS_ASSIGN_OR_RETURN(key_cols[k], keys[k]->EvalBatch(input));
+        }
+        std::string enc;
+        const int64_t n = input.num_rows();
+        for (int64_t i = 0; i < n; ++i) {
+          enc.clear();
+          enc.push_back(static_cast<char>(keys.size()));
+          for (size_t k = 0; k < key_cols.size(); ++k) {
+            key_cols[k]->EncodeValueTo(i, &enc);
           }
-          std::string enc;
-          const int64_t n = input.num_rows();
-          for (int64_t i = 0; i < n; ++i) {
-            enc.clear();
-            enc.push_back(static_cast<char>(keys.size()));
-            for (size_t k = 0; k < key_cols.size(); ++k) {
-              key_cols[k]->EncodeValueTo(i, &enc);
+          const int s = store->ShardOf(enc);
+          std::vector<Row>& out_rows = out[static_cast<size_t>(s)];
+          Row row = input.RowAt(i);
+          std::string own_key = is_left ? "L" : "R";
+          own_key.append(enc);
+          std::string other_key = own_key;
+          other_key[0] = is_left ? 'R' : 'L';
+          SS_ASSIGN_OR_RETURN(CacheEntry * other, load(s, other_key));
+          bool matched = false;
+          for (size_t k = 0; k < other->rows.size(); ++k) {
+            auto& [other_matched, other_row] = other->rows[k];
+            out_rows.push_back(is_left ? JoinedRow(&row, &other_row)
+                                       : JoinedRow(&other_row, &row));
+            if (!other_matched && k < other->base_n) {
+              other->dirty = true;  // stored flag flips
             }
-            buckets[static_cast<size_t>(ShardOfKey(enc, S))].Add(i, 0, enc);
+            other_matched = true;
+            matched = true;
           }
-          return Status::OK();
-        });
+          SS_ASSIGN_OR_RETURN(CacheEntry * own, load(s, own_key));
+          own->rows.emplace_back(matched, std::move(row));
+        }
       }
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name() + "[split]",
-        CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
-  }
 
-  // Shard stage: the symmetric-hash passes, restricted to each shard's
-  // bucketed rows, in input order — so the joined multiset per shard is
-  // shard-count-invariant.
-  {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t p = 0; p < P; ++p) {
-      const int S = stores[p]->num_shards();
       for (int s = 0; s < S; ++s) {
-        tasks.push_back([this, ctx, &left_in, &right_in, &work, &stores, p,
-                         s]() -> Status {
-          StateShardProtocol* shard = stores[p]->shard(s);
-          PartitionWork& w = work[p];
-          std::vector<Row>& out_rows = w.shard_rows[static_cast<size_t>(s)];
-
-          // Working cache of decoded side-state. Tracks how many rows were
-          // already stored (`base_n`) and whether stored rows changed
-          // (`dirty`), so the flush can append just the new suffix for
-          // grow-only keys instead of rewriting the value.
-          struct CacheEntry {
-            std::vector<std::pair<bool, Row>> rows;
-            size_t base_n = 0;
-            bool dirty = false;
-          };
-          std::unordered_map<std::string, CacheEntry> cache;
-          auto load = [&](const std::string& store_key)
-              -> Result<CacheEntry*> {
-            auto it = cache.find(store_key);
-            if (it == cache.end()) {
-              CacheEntry entry;
-              std::optional<std::string> stored = shard->Get(store_key);
-              if (stored.has_value()) {
-                SS_ASSIGN_OR_RETURN(entry.rows, DecodeSideRows(*stored));
-                entry.base_n = entry.rows.size();
-              }
-              it = cache.emplace(store_key, std::move(entry)).first;
-            }
-            return &it->second;
-          };
-
-          // Pass 1: probe new left rows against the stored right side
-          // (prior epochs), appending them to left state.
-          SS_RETURN_IF_ERROR(ForEachEntry(
-              w.left_buckets[static_cast<size_t>(s)],
-              [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                Row lrow = left_in[p]->RowAt(i);
-                std::string lkey = "L";
-                lkey.append(enc);
-                std::string rkey = lkey;
-                rkey[0] = 'R';
-                SS_ASSIGN_OR_RETURN(CacheEntry * right_entry, load(rkey));
-                bool matched = false;
-                for (size_t k = 0; k < right_entry->rows.size(); ++k) {
-                  auto& [rmatched, rrow] = right_entry->rows[k];
-                  out_rows.push_back(JoinedRow(&lrow, &rrow));
-                  if (!rmatched && k < right_entry->base_n) {
-                    right_entry->dirty = true;  // stored flag flips
-                  }
-                  rmatched = true;
-                  matched = true;
-                }
-                SS_ASSIGN_OR_RETURN(CacheEntry * left_entry, load(lkey));
-                left_entry->rows.emplace_back(matched, std::move(lrow));
-                return Status::OK();
-              }));
-          // Pass 2: probe new right rows against left state (which now
-          // includes this epoch's left rows, covering intra-epoch matches
-          // exactly once).
-          SS_RETURN_IF_ERROR(ForEachEntry(
-              w.right_buckets[static_cast<size_t>(s)],
-              [&](int32_t i, int64_t, std::string_view enc) -> Status {
-                Row rrow = right_in[p]->RowAt(i);
-                std::string rkey = "R";
-                rkey.append(enc);
-                std::string lkey = rkey;
-                lkey[0] = 'L';
-                SS_ASSIGN_OR_RETURN(CacheEntry * left_entry, load(lkey));
-                bool matched = false;
-                for (size_t k = 0; k < left_entry->rows.size(); ++k) {
-                  auto& [lmatched, lrow] = left_entry->rows[k];
-                  out_rows.push_back(JoinedRow(&lrow, &rrow));
-                  if (!lmatched && k < left_entry->base_n) {
-                    left_entry->dirty = true;
-                  }
-                  lmatched = true;
-                  matched = true;
-                }
-                SS_ASSIGN_OR_RETURN(CacheEntry * right_entry, load(rkey));
-                right_entry->rows.emplace_back(matched, std::move(rrow));
-                return Status::OK();
-              }));
-
-          // Watermark-driven eviction: rows whose event time has fallen
-          // below the watermark can no longer match. Unmatched rows on a
-          // preserved outer side are emitted null-padded exactly once.
-          const int64_t watermark = ctx->watermark_micros;
-          const bool evicting =
-              watermark != INT64_MIN &&
-              (left_time_index_ >= 0 || right_time_index_ >= 0);
-          if (evicting || ctx->is_batch) {
-            // Pull every stored key of this shard into the cache so
-            // eviction sees all state.
-            std::vector<std::string> all_keys;
-            shard->ForEach([&](const std::string& k, const std::string&) {
-              all_keys.push_back(k);
-            });
-            for (const std::string& k : all_keys) {
-              SS_RETURN_IF_ERROR(load(k).status());
-            }
-            for (auto& [store_key, entry] : cache) {
-              const bool is_left = store_key[0] == 'L';
-              const int time_index =
-                  is_left ? left_time_index_ : right_time_index_;
-              const bool preserved =
-                  (is_left && join_type_ == JoinType::kLeftOuter) ||
-                  (!is_left && join_type_ == JoinType::kRightOuter);
-              std::vector<std::pair<bool, Row>> kept;
-              for (auto& [matched, row] : entry.rows) {
-                bool expire;
-                if (ctx->is_batch) {
-                  expire = true;  // batch run: finalize everything
-                } else {
-                  expire = time_index >= 0 &&
-                           !row[static_cast<size_t>(time_index)].is_null() &&
-                           row[static_cast<size_t>(time_index)]
-                                   .int64_value() < watermark;
-                }
-                if (expire) {
-                  if (preserved && !matched) {
-                    out_rows.push_back(is_left ? JoinedRow(&row, nullptr)
-                                               : JoinedRow(nullptr, &row));
-                  }
-                } else {
-                  kept.emplace_back(matched, std::move(row));
-                }
-              }
-              if (kept.size() != entry.rows.size()) entry.dirty = true;
-              entry.rows = std::move(kept);
-            }
+        StateStore* shard = store->shard(s);
+        SideCache& cache = caches[static_cast<size_t>(s)];
+        std::vector<Row>& out_rows = out[static_cast<size_t>(s)];
+        if (evicting || ctx->is_batch) {
+          // Pull every stored key of this shard into the cache so eviction
+          // sees all state.
+          std::vector<std::string> all_keys;
+          shard->ForEach([&](const std::string& k, const std::string&) {
+            all_keys.push_back(k);
+          });
+          for (const std::string& k : all_keys) {
+            SS_RETURN_IF_ERROR(load(s, k).status());
           }
-
-          // Flush: untouched entries are skipped, grow-only entries append
-          // their new suffix, everything else is rewritten.
-          for (const auto& [store_key, entry] : cache) {
-            if (entry.rows.empty()) {
-              if (entry.base_n > 0) shard->Remove(store_key);
-            } else if (entry.dirty) {
-              shard->Put(store_key, EncodeSideRows(entry.rows));
-            } else if (entry.rows.size() > entry.base_n) {
-              std::string tail;
-              for (size_t k = entry.base_n; k < entry.rows.size(); ++k) {
-                tail.push_back(entry.rows[k].first ? 1 : 0);
-                EncodeRow(entry.rows[k].second, &tail);
+          for (auto& [store_key, entry] : cache) {
+            const bool is_left = store_key[0] == 'L';
+            const int time_index =
+                is_left ? left_time_index_ : right_time_index_;
+            const bool preserved =
+                (is_left && join_type_ == JoinType::kLeftOuter) ||
+                (!is_left && join_type_ == JoinType::kRightOuter);
+            std::vector<std::pair<bool, Row>> kept;
+            for (auto& [matched, row] : entry.rows) {
+              bool expire;
+              if (ctx->is_batch) {
+                expire = true;  // batch run: finalize everything
+              } else {
+                expire = time_index >= 0 &&
+                         !row[static_cast<size_t>(time_index)].is_null() &&
+                         row[static_cast<size_t>(time_index)].int64_value() <
+                             watermark;
               }
-              SS_RETURN_IF_ERROR(shard->Append(store_key, tail));
+              if (expire) {
+                if (preserved && !matched) {
+                  out_rows.push_back(is_left ? JoinedRow(&row, nullptr)
+                                             : JoinedRow(nullptr, &row));
+                }
+              } else {
+                kept.emplace_back(matched, std::move(row));
+              }
             }
+            if (kept.size() != entry.rows.size()) entry.dirty = true;
+            entry.rows = std::move(kept);
           }
-          return Status::OK();
-        });
+        }
+
+        // Flush: untouched entries are skipped, grow-only entries append
+        // their new suffix, everything else is rewritten.
+        for (const auto& [store_key, entry] : cache) {
+          if (entry.rows.empty()) {
+            if (entry.base_n > 0) shard->Remove(store_key);
+          } else if (entry.dirty) {
+            shard->Put(store_key, EncodeSideRows(entry.rows));
+          } else if (entry.rows.size() > entry.base_n) {
+            std::string tail;
+            for (size_t k = entry.base_n; k < entry.rows.size(); ++k) {
+              tail.push_back(entry.rows[k].first ? 1 : 0);
+              EncodeRow(entry.rows[k].second, &tail);
+            }
+            SS_RETURN_IF_ERROR(store->Append(s, store_key, tail));
+          }
+        }
       }
-    }
-    SS_RETURN_IF_ERROR(ctx->RunStage(op_id_,
-        name(), CoalesceTasks(std::move(tasks), ShardStageTaskCap(ctx, P))));
+      return Status::OK();
+    });
   }
+  SS_RETURN_IF_ERROR(ctx->RunStage(op_id_, name(), std::move(tasks)));
 
   // Deterministic merge in shard-index order.
   std::vector<RecordBatchPtr> out(P);
   for (size_t p = 0; p < P; ++p) {
-    SS_ASSIGN_OR_RETURN(out[p], MergeShardRows(schema_, &work[p].shard_rows));
+    SS_ASSIGN_OR_RETURN(out[p], MergeShardRows(schema_, &shard_rows[p]));
   }
   return out;
 }
@@ -1200,7 +1016,7 @@ Result<RecordBatchPtr> FlatMapGroupsWithStateExec::ExecutePartition(
   std::vector<Row> out_rows;
 
   // State value codec: [fixed64 timeout_at][encoded user row].
-  auto load_state = [&](StateShardProtocol* shard, StateRef ref)
+  auto load_state = [&](StateStore* shard, StateRef ref)
       -> Result<std::pair<std::optional<Row>, int64_t>> {
     if (ref.created) {
       return std::make_pair(std::optional<Row>(), INT64_MAX);
@@ -1221,7 +1037,7 @@ Result<RecordBatchPtr> FlatMapGroupsWithStateExec::ExecutePartition(
   auto invoke = [&](const std::string& enc, const Row& key,
                     const std::vector<Row>& values,
                     bool timed_out) -> Status {
-    StateShardProtocol* shard = store->shard(store->ShardOf(enc));
+    StateStore* shard = store->shard(store->ShardOf(enc));
     const StateRef ref = shard->Touch(enc);
     SS_ASSIGN_OR_RETURN(auto loaded, load_state(shard, ref));
     GroupState state(std::move(loaded.first), watermark, now, timed_out);

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <string_view>
 
 #include "analysis/diagnostics.h"
 #include "common/logging.h"
 #include "storage/fs.h"
+#include "testing/failpoints.h"
 
 namespace sstreaming {
 
@@ -35,6 +37,30 @@ std::vector<int> ListShardDirs(const std::string& dir) {
   return shards;
 }
 
+/// The SHARDS file's count: decimal digits with an optional trailing
+/// newline, else 0 (corrupt).
+int ParseShardCount(const std::string& meta) {
+  std::string_view digits(meta);
+  if (!digits.empty() && digits.back() == '\n') digits.remove_suffix(1);
+  if (digits.empty() || digits.size() > 9) return 0;
+  int count = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return 0;
+    count = count * 10 + (c - '0');
+  }
+  return count;
+}
+
+/// True when `dir` holds StateStore version files directly — the flat
+/// layout of a checkpoint written before keyed state was sharded.
+Result<bool> HasFlatVersionFiles(const std::string& dir) {
+  SS_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir));
+  for (const std::string& name : names) {
+    if (name.ends_with(".snapshot") || name.ends_with(".delta")) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 uint64_t ShardedStateStore::StableHashKey(const std::string& key) {
@@ -55,7 +81,7 @@ Result<std::unique_ptr<ShardedStateStore>> ShardedStateStore::Open(
   const std::string meta_path = dir + "/" + kShardCountFile;
   if (FileExists(meta_path)) {
     SS_ASSIGN_OR_RETURN(std::string meta, ReadFile(meta_path));
-    int on_disk = std::atoi(meta.c_str());
+    int on_disk = ParseShardCount(meta);
     if (on_disk < 1) {
       return Status::IOError("corrupt shard-count file: " + meta_path);
     }
@@ -78,15 +104,29 @@ Result<std::unique_ptr<ShardedStateStore>> ShardedStateStore::Open(
     }
     num_shards = on_disk;
   } else {
+    // Version files without SHARDS are a pre-sharding checkpoint: its keys
+    // are not routed hash % N, so opening it as an empty shard group would
+    // silently drop its state. Refuse it and write nothing.
+    SS_ASSIGN_OR_RETURN(bool flat, HasFlatVersionFiles(dir));
+    if (flat) {
+      return Status::FailedPrecondition(
+          DiagCodeString(DiagCode::kCheckpointShardCountChanged) +
+          ": state at " + dir +
+          " has the flat (pre-sharding) layout, with version files but no " +
+          kShardCountFile + " file; it cannot be opened as " +
+          std::to_string(num_shards) +
+          " shards (start from a fresh checkpoint)");
+    }
     SS_RETURN_IF_ERROR(WriteFileAtomic(meta_path,
                                        std::to_string(num_shards) + "\n"));
   }
-  std::vector<std::unique_ptr<LocalStateShard>> shards;
+  std::vector<std::unique_ptr<StateStore>> shards;
   shards.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    SS_ASSIGN_OR_RETURN(std::unique_ptr<LocalStateShard> shard,
-                        LocalStateShard::Open(ShardDir(dir, s), version,
-                                              options.shard_options));
+    SS_FAILPOINT("state.shard.restore");
+    SS_ASSIGN_OR_RETURN(std::unique_ptr<StateStore> shard,
+                        StateStore::Open(ShardDir(dir, s), version,
+                                         options.shard_options));
     shards.push_back(std::move(shard));
   }
   return std::unique_ptr<ShardedStateStore>(
@@ -102,7 +142,7 @@ void ShardedStateStore::ForEach(
 int64_t ShardedStateStore::loaded_version() const {
   int64_t min_version = INT64_MAX;
   for (const auto& shard : shards_) {
-    min_version = std::min(min_version, shard->restored_version());
+    min_version = std::min(min_version, shard->loaded_version());
   }
   return shards_.empty() ? 0 : min_version;
 }
@@ -114,14 +154,22 @@ Status ShardedStateStore::Commit(int64_t version) {
   // safe, because recovery restores from the WAL-committed epoch and newer
   // shard files are ignored (then overwritten on replay).
   for (const auto& shard : shards_) {
-    SS_RETURN_IF_ERROR(shard->Snapshot(version));
+    SS_FAILPOINT("state.shard.checkpoint");
+    SS_RETURN_IF_ERROR(shard->Commit(version));
   }
+  return Status::OK();
+}
+
+Status ShardedStateStore::Append(int s, const std::string& key,
+                                 const std::string& tail) {
+  SS_FAILPOINT("state.shard.append");
+  shards_[static_cast<size_t>(s)]->Append(key, tail);
   return Status::OK();
 }
 
 int64_t ShardedStateStore::size() const {
   int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->rows();
+  for (const auto& shard : shards_) total += shard->size();
   return total;
 }
 
@@ -141,7 +189,7 @@ std::vector<ShardedStateStore::ShardSize> ShardedStateStore::PerShardSizes()
     const {
   std::vector<ShardSize> sizes(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    sizes[s].rows = shards_[s]->rows();
+    sizes[s].rows = shards_[s]->size();
     sizes[s].bytes = shards_[s]->ApproxBytes();
   }
   return sizes;
@@ -149,21 +197,14 @@ std::vector<ShardedStateStore::ShardSize> ShardedStateStore::PerShardSizes()
 
 Status ShardedStateStore::TruncateAfter(const std::string& dir,
                                         int64_t version) {
-  std::vector<int> shards = ListShardDirs(dir);
-  if (shards.empty()) {
-    // Flat (pre-sharding) layout: version files live directly under `dir`.
-    return StateStore::TruncateAfter(dir, version);
-  }
-  for (int s : shards) {
+  for (int s : ListShardDirs(dir)) {
     SS_RETURN_IF_ERROR(StateStore::TruncateAfter(ShardDir(dir, s), version));
   }
   return Status::OK();
 }
 
 Status ShardedStateStore::PurgeBefore(const std::string& dir, int64_t keep) {
-  std::vector<int> shards = ListShardDirs(dir);
-  if (shards.empty()) return StateStore::PurgeBefore(dir, keep);
-  for (int s : shards) {
+  for (int s : ListShardDirs(dir)) {
     SS_RETURN_IF_ERROR(StateStore::PurgeBefore(ShardDir(dir, s), keep));
   }
   return Status::OK();

@@ -7,16 +7,14 @@
 #include <vector>
 
 #include "common/status.h"
-#include "state/state_shard.h"
 #include "state/state_store.h"
 
 namespace sstreaming {
 
 /// One stateful operator-partition's keyed state, hash-partitioned into N
-/// independent shards (docs/STATE_SHARDING.md). Each shard is a
-/// StateShardProtocol with its own directory, checkpoint files, and memory
-/// accounting, so a stateful stage can process shards as parallel scheduler
-/// tasks and checkpoint/restore them independently.
+/// independent shards (docs/STATE_SHARDING.md). Each shard is a StateStore
+/// with its own directory, checkpoint files, and memory accounting, and
+/// checkpoints and restores independently of the others.
 ///
 /// Layout under `dir`:
 ///   SHARDS        - decimal shard count, written once at creation
@@ -29,9 +27,14 @@ namespace sstreaming {
 ///
 /// Routing: StableHashKey (FNV-1a, fixed across platforms and std::hash
 /// implementations) of the encoded key, mod N. The routed facade
-/// (Get/Put/...) serves single-threaded callers; parallel operators instead
-/// partition their input with ShardOf and hand each shard() to its own task
-/// — shards are single-writer and unsynchronized.
+/// (Get/Put/...) serves callers that route by the whole key; operators route
+/// each row with ShardOf and work on shard() directly. Shards are
+/// unsynchronized: one task at a time works on a store.
+///
+/// Chaos seams: `state.shard.restore` fires before each shard is opened,
+/// `state.shard.checkpoint` before each shard's commit, and
+/// `state.shard.append` before each Append — so fault injection can strike
+/// one shard of a group independently.
 class ShardedStateStore {
  public:
   struct Options {
@@ -48,7 +51,9 @@ class ShardedStateStore {
   };
 
   /// Opens (creating if needed) the shard group and restores every shard to
-  /// the newest durable version <= `version`.
+  /// the newest durable version <= `version`. A directory holding version
+  /// files but no SHARDS file (the flat layout of a pre-sharding checkpoint)
+  /// is refused with SS3004 and left untouched.
   static Result<std::unique_ptr<ShardedStateStore>> Open(
       const std::string& dir, int64_t version, Options options = Options());
 
@@ -60,8 +65,8 @@ class ShardedStateStore {
     return static_cast<int>(StableHashKey(key) %
                             static_cast<uint64_t>(shards_.size()));
   }
-  StateShardProtocol* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
-  const StateShardProtocol* shard(int i) const {
+  StateStore* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
+  const StateStore* shard(int i) const {
     return shards_[static_cast<size_t>(i)].get();
   }
 
@@ -73,8 +78,11 @@ class ShardedStateStore {
     shards_[static_cast<size_t>(ShardOf(key))]->Put(key, std::move(value));
   }
   Status Append(const std::string& key, const std::string& tail) {
-    return shards_[static_cast<size_t>(ShardOf(key))]->Append(key, tail);
+    return Append(ShardOf(key), key, tail);
   }
+  /// Appends `tail` to `key`'s value in shard `s`, for callers that route
+  /// keys themselves (see StateStore::Append).
+  Status Append(int s, const std::string& key, const std::string& tail);
   void Remove(const std::string& key) {
     shards_[static_cast<size_t>(ShardOf(key))]->Remove(key);
   }
@@ -104,8 +112,7 @@ class ShardedStateStore {
   std::vector<ShardSize> PerShardSizes() const;
 
   /// Removes durable versions > `version` in every shard under `dir`
-  /// (rollback). Also handles a pre-sharding flat layout, where the version
-  /// files sit directly in `dir`.
+  /// (rollback).
   static Status TruncateAfter(const std::string& dir, int64_t version);
 
   /// Drops durable files not needed to restore versions >= `keep`, per
@@ -113,11 +120,10 @@ class ShardedStateStore {
   static Status PurgeBefore(const std::string& dir, int64_t keep);
 
  private:
-  explicit ShardedStateStore(
-      std::vector<std::unique_ptr<LocalStateShard>> shards)
+  explicit ShardedStateStore(std::vector<std::unique_ptr<StateStore>> shards)
       : shards_(std::move(shards)) {}
 
-  std::vector<std::unique_ptr<LocalStateShard>> shards_;
+  std::vector<std::unique_ptr<StateStore>> shards_;
 };
 
 }  // namespace sstreaming

@@ -49,7 +49,6 @@ DoctorReport OnlineDiagnosis(const StreamingQuery& query,
   input.query_name = name;
   input.window = query.GetProgressSnapshot();
   input.scheduler_parallelism = query.scheduler_parallelism();
-  input.num_state_shards = query.num_state_shards();
   return Diagnose(input);
 }
 
@@ -208,6 +207,15 @@ TEST(DoctorTest, SkewedKeysYieldStatefulShardSkew) {
   EXPECT_EQ(evidence.Get("maxShardRows").int_value(), 80);
   EXPECT_EQ(evidence.Get("totalStateRows").int_value(), 80);
   EXPECT_DOUBLE_EQ(evidence.Get("imbalance").double_value(), 4.0);
+  // The remedy is the key, not the shard count: an existing checkpoint pins
+  // the count (SS3004).
+  const std::string& suggestion = report.findings.front().suggestion;
+  EXPECT_NE(suggestion.find("salt the hot key"), std::string::npos)
+      << suggestion;
+  EXPECT_NE(suggestion.find("fresh checkpoint (SS3004)"), std::string::npos)
+      << suggestion;
+  EXPECT_EQ(suggestion.find("raise num_state_shards"), std::string::npos)
+      << suggestion;
 
   (*query)->Stop();
   ExpectOfflineParity(dir, "stateful-shard-skew");

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <vector>
@@ -138,7 +139,7 @@ TEST_F(ShardedStateStoreTest, ShardsCheckpointAndRestoreIndependently) {
   EXPECT_FALSE(v5->Get("d").has_value());
   EXPECT_EQ(v5->loaded_version(), 5);
   for (int s = 0; s < v5->num_shards(); ++s) {
-    EXPECT_EQ(v5->shard(s)->restored_version(), 5);
+    EXPECT_EQ(v5->shard(s)->loaded_version(), 5);
   }
   auto v6 = ShardedStateStore::Open(dir_, 6, opts).TakeValue();
   EXPECT_EQ(v6->size(), 4);
@@ -163,19 +164,71 @@ TEST_F(ShardedStateStoreTest, TruncateAfterWalksShardDirs) {
   EXPECT_EQ(store->size(), 2);
 }
 
-TEST_F(ShardedStateStoreTest, TruncateAfterFallsBackToFlatLayout) {
+/// Every file under `dir` (relative path -> bytes), for byte-for-byte
+/// comparisons of a directory before and after an operation.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    std::string rel = std::filesystem::relative(entry.path(), dir).string();
+    if (entry.is_directory()) {
+      files[rel + "/"] = "";
+    } else {
+      files[rel] = ReadFile(entry.path().string()).TakeValue();
+    }
+  }
+  return files;
+}
+
+TEST_F(ShardedStateStoreTest, FlatLayoutIsRefusedAndLeftUntouched) {
   // A pre-sharding checkpoint has version files directly in the partition
-  // dir; TruncateAfter must still prune it.
+  // dir and no SHARDS file. Opening it as a shard group would restore an
+  // empty store and lose its state, so Open refuses it and writes nothing.
   {
     auto flat = StateStore::Open(dir_, 0).TakeValue();
     flat->Put("a", "1");
-    ASSERT_TRUE(flat->Commit(1).ok());
     flat->Put("b", "2");
-    ASSERT_TRUE(flat->Commit(2).ok());
+    ASSERT_TRUE(flat->Commit(1).ok());
   }
-  ASSERT_TRUE(ShardedStateStore::TruncateAfter(dir_, 1).ok());
-  auto flat = StateStore::Open(dir_, 2).TakeValue();
-  EXPECT_EQ(flat->loaded_version(), 1);
+  const std::map<std::string, std::string> before = DirContents(dir_);
+  ShardedStateStore::Options opts;
+  opts.num_shards = 4;
+  auto opened = ShardedStateStore::Open(dir_, 1, opts);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("SS3004"), std::string::npos)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().message().find("flat"), std::string::npos)
+      << opened.status().ToString();
+  EXPECT_EQ(DirContents(dir_), before);
+  EXPECT_FALSE(FileExists(dir_ + "/SHARDS"));
+}
+
+TEST_F(ShardedStateStoreTest, MalformedShardCountFileIsCorrupt) {
+  // SHARDS holds decimal digits and at most a trailing newline.
+  const std::pair<const char*, bool> cases[] = {
+      {"4", true},       {"4\n", true},   {"4x", false},    {"4 junk", false},
+      {"", false},       {"\n", false},   {" 4", false},    {"+4", false},
+      {"-4", false},     {"0", false},     {"4\n\n", false}, {"4\r\n", false},
+      {"99999999999", false}};
+  for (const auto& [meta, valid] : cases) {
+    SCOPED_TRACE(std::string("SHARDS=\"") + meta + "\"");
+    auto dir = MakeTempDir("sharded_meta");
+    ASSERT_TRUE(dir.ok());
+    ASSERT_TRUE(WriteFileAtomic(*dir + "/SHARDS", meta).ok());
+    ShardedStateStore::Options opts;
+    opts.num_shards = 4;
+    auto opened = ShardedStateStore::Open(*dir, 0, opts);
+    if (valid) {
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      EXPECT_EQ((*opened)->num_shards(), 4);
+    } else {
+      ASSERT_FALSE(opened.ok());
+      EXPECT_NE(opened.status().message().find("corrupt shard-count file"),
+                std::string::npos)
+          << opened.status().ToString();
+    }
+    RemoveDirRecursive(*dir).ok();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,8 +437,8 @@ TEST_P(ShardedDifferentialTest, OutputIsByteIdenticalAcrossShardCounts) {
 
 TEST_P(ShardedDifferentialTest, PoolSchedulerRunMatchesInlineGolden) {
   // The inline golden runs every task on the calling thread; an 8-thread
-  // pool runs the partition tasks (and the dedup/join shard tasks) on real
-  // threads concurrently. The output must still be byte-identical.
+  // pool runs each stateful operator's partition tasks on real threads
+  // concurrently. The output must still be byte-identical.
   DifferentialRun golden = RunPipeline(GetParam(), 4, 20260810, false);
   ASSERT_FALSE(golden.epochs.empty());
   for (int shards : {1, 4, 7}) {
@@ -420,6 +473,53 @@ TEST_P(ShardedDifferentialTest, EquivalenceHoldsAcrossRestartRecovery) {
   for (int shards : {1, 2, 4, 7}) {
     DifferentialRun run = RunPipeline(GetParam(), shards, 20260809, true);
     ExpectEquivalent(golden, run, shards);
+  }
+}
+
+/// Runs stages inline and records each one's name and task count.
+class StageRecordingScheduler : public TaskScheduler {
+ public:
+  struct Stage {
+    std::string name;
+    size_t tasks = 0;
+  };
+
+  using TaskScheduler::RunStage;
+  Status RunStage(const std::string& stage_name,
+                  std::vector<std::function<Status()>> tasks,
+                  StageWait* wait) override {
+    stages_.push_back(Stage{stage_name, tasks.size()});
+    return inner_.RunStage(stage_name, std::move(tasks), wait);
+  }
+  int parallelism() const override { return inner_.parallelism(); }
+
+  const std::vector<Stage>& stages() const { return stages_; }
+
+ private:
+  InlineScheduler inner_;
+  std::vector<Stage> stages_;
+};
+
+TEST(KeyedOperatorStageTest, DedupAndJoinRunOnePartitionStagePerEpoch) {
+  // Dedup and the stream-stream join route each row to its shard inside
+  // one task per partition, like the aggregate's fold: one stage per epoch
+  // with num_partitions (2) tasks, whatever the shard count, and no split
+  // stage in front of it.
+  for (auto [pipeline, op] : {std::pair{Pipeline::kDedup, "Dedup"},
+                              std::pair{Pipeline::kJoin, "StreamStreamJoin"}}) {
+    SCOPED_TRACE(op);
+    StageRecordingScheduler recorder;
+    DifferentialRun run = RunPipeline(pipeline, 4, 20260811, false, &recorder);
+    ASSERT_FALSE(run.epochs.empty());
+    size_t op_stages = 0;
+    for (const auto& stage : recorder.stages()) {
+      EXPECT_FALSE(stage.name.ends_with("[split]")) << stage.name;
+      if (!stage.name.starts_with(op)) continue;
+      EXPECT_EQ(stage.name, op);
+      EXPECT_EQ(stage.tasks, 2u) << stage.name;
+      ++op_stages;
+    }
+    EXPECT_EQ(op_stages, run.epochs.size());
   }
 }
 

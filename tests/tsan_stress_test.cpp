@@ -1,5 +1,5 @@
 // TSan stress certification for sharded state under real parallelism: an
-// 8-shard windowed aggregation runs its shard tasks on a 4-thread
+// 8-shard windowed aggregation runs its partition folds on a 4-thread
 // PoolScheduler while scraper threads hammer /metrics and the per-query
 // progress, plan, doctor and trace endpoints. /metrics and the EXPLAIN
 // ANALYZE plan read the per-shard state accounting, progress and doctor
